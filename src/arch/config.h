@@ -52,14 +52,6 @@ struct MachineConfig {
   double sync_trigger_ns = 4.0;    // event-driven: fire a counter-armed task
   double barrier_base_ns = 400.0;  // BSP: software cost per global barrier
 
-  // --- simulator execution (host-side, does not affect modelled timing) ---
-  // Shards for the parallel discrete-event engine: the node grid splits into
-  // this many shard-private event queues run under conservative time
-  // windows, with bitwise-identical results at every shard count.  0 = the
-  // serial legacy engine.  ANTON_DES_SHARDS overrides at runtime; runs that
-  // need a TraceWriter or BSP sync fall back to serial.
-  int des_shards = 0;
-
   // --- interconnect ---
   noc::TorusConfig noc;
   // Hardware multicast for position import (ablation: false = unicast to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "md/engine.h"
@@ -52,6 +53,32 @@ void name_trace_tracks(obs::TraceWriter* trace) {
 }
 
 }  // namespace
+
+void AntonMachine::validate(const arch::MachineConfig& c) {
+  // A zero or non-finite rate makes every busy time infinite (or NaN); a
+  // negative cost would dispatch tasks before their inputs arrive.
+  ANTON_CHECK_MSG(
+      c.pair_rate_per_ns() > 0 && std::isfinite(c.pair_rate_per_ns()),
+      "pair_rate_per_ns() = ppims_per_node * pairs_per_ppim_cycle * "
+      "ppim_clock_ghz must be positive and finite, got "
+          << c.ppims_per_node << " * " << c.pairs_per_ppim_cycle << " * "
+          << c.ppim_clock_ghz);
+  ANTON_CHECK_MSG(
+      c.gc_lane_rate_per_ns() > 0 && std::isfinite(c.gc_lane_rate_per_ns()),
+      "gc_lane_rate_per_ns() = geometry_cores * gc_simd_width * gc_clock_ghz "
+      "must be positive and finite, got "
+          << c.geometry_cores << " * " << c.gc_simd_width << " * "
+          << c.gc_clock_ghz);
+  const std::pair<const char*, double> costs[] = {
+      {"htis_task_overhead_ns", c.htis_task_overhead_ns},
+      {"gc_task_overhead_ns", c.gc_task_overhead_ns},
+      {"sync_trigger_ns", c.sync_trigger_ns},
+      {"barrier_base_ns", c.barrier_base_ns},
+  };
+  for (const auto& [field, value] : costs) {
+    ANTON_CHECK_MSG(value >= 0, field << " must be >= 0, got " << value);
+  }
+}
 
 PerfReport AntonMachine::estimate(const System& system, double dt_fs,
                                   int respa_k) const {

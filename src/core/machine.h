@@ -54,9 +54,13 @@ void torus_dims(int nodes, int* nx, int* ny, int* nz);
 // metrics scope) per call on the calling thread's stack.
 class AntonMachine {
  public:
+  // Both constructors reject a config the model cannot time (see
+  // validate()) with anton::Error.
   explicit AntonMachine(arch::MachineConfig config)
       : config_(std::make_shared<const arch::MachineConfig>(
-            std::move(config))) {}
+            std::move(config))) {
+    validate(*config_);
+  }
 
   // Shares an existing immutable config instead of copying it — the
   // estimator service constructs one AntonMachine per job and this keeps
@@ -64,6 +68,7 @@ class AntonMachine {
   explicit AntonMachine(std::shared_ptr<const arch::MachineConfig> config)
       : config_(std::move(config)) {
     ANTON_CHECK(config_ != nullptr);
+    validate(*config_);
   }
 
   const arch::MachineConfig& config() const { return *config_; }
@@ -85,6 +90,11 @@ class AntonMachine {
                  int workload_refresh = 20) const;
 
  private:
+  // HTIS and GC rates must be positive and finite; task overheads and sync
+  // costs must be >= 0.  Each failure names the offending field.  The
+  // torus parameters are checked by the noc::Torus constructor.
+  static void validate(const arch::MachineConfig& config);
+
   std::shared_ptr<const arch::MachineConfig> config_;
 };
 

@@ -89,21 +89,6 @@ void Executor::complete(int id) {
   ANTON_HOT_NOALLOC();
   const TaskGraph::Task& t = graph_->task(id);
   for (int dep : t.local_dependents) notify(dep, id);
-  if (engine_ != nullptr) {
-    // Sharded run: NoC planning mutates shared link state, so it is
-    // deferred — record the completion in this shard's outbox and let the
-    // window barrier plan every send in canonical order.
-    if (!t.sends.empty() || !t.mcast_dependents.empty()) {
-      SendRec rec;
-      rec.t = queue_for(t.node).now();
-      rec.seq = node_send_seq_[static_cast<size_t>(t.node)]++;
-      rec.task = id;
-      rec.node = static_cast<uint32_t>(t.node);
-      outbox_[static_cast<size_t>(node_shard_[static_cast<size_t>(t.node)])]
-          .push(std::move(rec));
-    }
-    return;
-  }
   for (const auto& s : t.sends) {
     const int dst_node = graph_->task(s.dst_task).node;
     torus_->unicast(t.node, dst_node, s.bytes,
@@ -131,8 +116,7 @@ void Executor::notify(int id, int from) {
 void Executor::ready(int id, int released_by) {
   ANTON_HOT_NOALLOC();
   const TaskGraph::Task& t = graph_->task(id);
-  sim::EventQueue& q = queue_for(t.node);
-  const sim::SimTime now = q.now();
+  const sim::SimTime now = queue_->now();
   const size_t unit_key =
       static_cast<size_t>(t.node) * kNumUnits + static_cast<size_t>(t.unit);
   const double overhead = dispatch_overhead(t.unit);
@@ -152,25 +136,12 @@ void Executor::ready(int id, int released_by) {
   unit_free_[unit_key] = end;
   const double occupied = overhead + t.busy_ns;
   node_busy_[static_cast<size_t>(t.node)] += occupied;
-  if (engine_ == nullptr) {
-    phase_busy_[static_cast<size_t>(t.phase_id)] += occupied;
-    double& end_ns = phase_end_[static_cast<size_t>(t.phase_id)];
-    end_ns = std::max(end_ns, static_cast<double>(end));
-    tasks_executed_++;
-  } else {
-    // Per-node lanes (single writer: the shard executing this node).  The
-    // serial globals would race — and worse, accumulate float sums in a
-    // shard-dependent order.  Folded ascending-node after the run.
-    const size_t k = static_cast<size_t>(t.node) * phase_busy_.size() +
-                     static_cast<size_t>(t.phase_id);
-    node_phase_busy_[k] += occupied;
-    node_phase_end_[k] = std::max(node_phase_end_[k],
-                                  static_cast<double>(end));
-    ++shard_tasks_[static_cast<size_t>(
-          node_shard_[static_cast<size_t>(t.node)])].v;
-  }
+  phase_busy_[static_cast<size_t>(t.phase_id)] += occupied;
+  double& end_ns = phase_end_[static_cast<size_t>(t.phase_id)];
+  end_ns = std::max(end_ns, static_cast<double>(end));
+  tasks_executed_++;
   if (trace_ != nullptr) emit_span(t, unit_key, dispatch, end);
-  q.schedule_at(end, [this, id] { complete(id); });
+  queue_->schedule_at(end, [this, id] { complete(id); });
 }
 
 void Executor::emit_span(const TaskGraph::Task& t, size_t unit_key,
@@ -201,19 +172,29 @@ void zero_values(std::map<std::string, double>& m) {
 }
 }  // namespace
 
-void Executor::prepare(TaskGraph& graph, const arch::MachineConfig& config,
-                       noc::Torus& torus) {
+const ExecStats& Executor::run(TaskGraph& graph,
+                               const arch::MachineConfig& config,
+                               noc::Torus& torus, sim::EventQueue& queue,
+                               obs::TraceWriter* trace, int trace_pid) {
   graph_ = &graph;
   config_ = &config;
   torus_ = &torus;
+  queue_ = &queue;
+  trace_ = trace;
+  trace_pid_ = trace_pid;
 
   const size_t n = static_cast<size_t>(graph.num_tasks());
+  const int num_nodes = torus.num_nodes();
   deps_left_.resize(n);
   for (int i = 0; i < graph.num_tasks(); ++i) {
-    deps_left_[static_cast<size_t>(i)] = graph.task(i).deps;
+    const TaskGraph::Task& t = graph.task(i);
+    ANTON_CHECK_MSG(t.node >= 0 && t.node < num_nodes,
+                    "task " << i << " pinned to node " << t.node
+                            << " outside the torus");
+    deps_left_[static_cast<size_t>(i)] = t.deps;
   }
-  unit_free_.assign(static_cast<size_t>(torus.num_nodes()) * kNumUnits, 0.0);
-  node_busy_.assign(static_cast<size_t>(torus.num_nodes()), 0.0);
+  unit_free_.assign(static_cast<size_t>(num_nodes) * kNumUnits, 0.0);
+  node_busy_.assign(static_cast<size_t>(num_nodes), 0.0);
   dispatch_time_.assign(n, 0.0);
   end_time_.assign(n, 0.0);
   crit_pred_.assign(n, -1);
@@ -237,10 +218,15 @@ void Executor::prepare(TaskGraph& graph, const arch::MachineConfig& config,
   stats_.noc = noc::NocStats{};
 
   torus.reset_stats();
-}
 
-const ExecStats& Executor::finalize(sim::SimTime t0, sim::SimTime t_end) {
-  TaskGraph& graph = *graph_;
+  const sim::SimTime t0 = queue.now();
+  t0_ = t0;
+  // Seed all zero-dependency tasks.
+  for (int i = 0; i < graph.num_tasks(); ++i) {
+    if (graph.task(i).deps == 0) ready(i, -1);
+  }
+  const sim::SimTime t_end = queue.run();
+
   stats_.makespan_ns = t_end - t0;
   double sum = 0;
   for (double b : node_busy_) {
@@ -252,7 +238,7 @@ const ExecStats& Executor::finalize(sim::SimTime t0, sim::SimTime t_end) {
   ANTON_CHECK_MSG(tasks_executed_ == static_cast<uint64_t>(graph.num_tasks()),
                   "deadlock: " << graph.num_tasks() - tasks_executed_
                                << " tasks never ran");
-  stats_.noc = torus_->stats();
+  stats_.noc = torus.stats();
 
   // Critical-path walk-back from the last-finishing task.  Each hop
   // attributes the task's unit occupancy to its phase and the gap to its
@@ -293,189 +279,6 @@ const ExecStats& Executor::finalize(sim::SimTime t0, sim::SimTime t_end) {
     }
   }
   return stats_;
-}
-
-const ExecStats& Executor::run(TaskGraph& graph,
-                               const arch::MachineConfig& config,
-                               noc::Torus& torus, sim::EventQueue& queue,
-                               obs::TraceWriter* trace, int trace_pid) {
-  queue_ = &queue;
-  engine_ = nullptr;
-  trace_ = trace;
-  trace_pid_ = trace_pid;
-  prepare(graph, config, torus);
-
-  const sim::SimTime t0 = queue.now();
-  t0_ = t0;
-  // Seed all zero-dependency tasks.
-  for (int i = 0; i < graph.num_tasks(); ++i) {
-    if (graph.task(i).deps == 0) ready(i, -1);
-  }
-  const sim::SimTime t_end = queue.run();
-  return finalize(t0, t_end);
-}
-
-const ExecStats& Executor::run_sharded(TaskGraph& graph,
-                                       const arch::MachineConfig& config,
-                                       noc::Torus& torus,
-                                       sim::ParallelEngine& engine) {
-  ANTON_CHECK_MSG(config.sync == arch::SyncModel::kEventDriven,
-                  "sharded execution requires event-driven sync: BSP barrier "
-                  "deps cross nodes without messages, so no lookahead bounds "
-                  "them");
-  queue_ = nullptr;
-  engine_ = &engine;
-  trace_ = nullptr;
-  prepare(graph, config, torus);
-
-  const int num_nodes = torus.num_nodes();
-  const int p = engine.shards();
-  node_shard_.resize(static_cast<size_t>(num_nodes));
-  for (int node = 0; node < num_nodes; ++node) {
-    node_shard_[static_cast<size_t>(node)] =
-        sim::ParallelEngine::shard_of(node, num_nodes, p);
-  }
-  node_send_seq_.assign(static_cast<size_t>(num_nodes), 0);
-  node_phase_busy_.assign(
-      static_cast<size_t>(num_nodes) * phase_busy_.size(), 0.0);
-  node_phase_end_.assign(node_phase_busy_.size(), 0.0);
-  shard_tasks_.assign(static_cast<size_t>(p), PadCount{});
-
-  // Size each shard's outbox for every sending task it owns (the worst case:
-  // all of them complete inside one window), and reject graphs the shard
-  // contract cannot execute: a local dependent on another node (BSP barrier
-  // edges) would be a cross-shard release with zero latency.
-  outbox_.resize(static_cast<size_t>(p));
-  shard_senders_.assign(static_cast<size_t>(p), 0);
-  size_t total_senders = 0;
-  for (int i = 0; i < graph.num_tasks(); ++i) {
-    const TaskGraph::Task& t = graph.task(i);
-    ANTON_CHECK_MSG(t.node >= 0 && t.node < num_nodes,
-                    "task " << i << " pinned to node " << t.node
-                            << " outside the torus");
-    for (int dep : t.local_dependents) {
-      ANTON_CHECK_MSG(graph.task(dep).node == t.node,
-                      "sharded execution requires node-local dependents; "
-                      "task " << i << " releases task " << dep
-                              << " on another node without a message");
-    }
-    if (!t.sends.empty() || !t.mcast_dependents.empty()) {
-      ++shard_senders_[static_cast<size_t>(node_shard_[static_cast<size_t>(t.node)])];
-      ++total_senders;
-    }
-  }
-  for (int s = 0; s < p; ++s) {
-    outbox_[static_cast<size_t>(s)].init(shard_senders_[static_cast<size_t>(s)]);
-  }
-  send_gather_.reserve(total_senders);
-
-  torus.set_shard_lanes(p);
-  engine.set_barrier_hook(&Executor::barrier_hook, this);
-
-  const sim::SimTime t0 = engine.queue(0).now();
-  t0_ = t0;
-  // Seed all zero-dependency tasks in ascending id — a shard-count
-  // independent insertion order into every shard queue.
-  for (int i = 0; i < graph.num_tasks(); ++i) {
-    if (graph.task(i).deps == 0) ready(i, -1);
-  }
-  const sim::SimTime t_end = engine.run();
-  engine.set_barrier_hook(nullptr, nullptr);
-
-  // Fold the single-writer lanes into the serial accumulators, in ascending
-  // node order so the float sums are shard-count independent.
-  tasks_executed_ = 0;
-  for (const auto& st : shard_tasks_) tasks_executed_ += st.v;
-  const size_t num_phases = phase_busy_.size();
-  for (int node = 0; node < num_nodes; ++node) {
-    for (size_t ph = 0; ph < num_phases; ++ph) {
-      const size_t k = static_cast<size_t>(node) * num_phases + ph;
-      phase_busy_[ph] += node_phase_busy_[k];
-      phase_end_[ph] = std::max(phase_end_[ph], node_phase_end_[k]);
-    }
-  }
-
-  // Conservation across shards: every planned packet delivered (lanes were
-  // folded at the final barrier), every outbox and engine mailbox balanced,
-  // every shard arena recycled.
-  torus.check_conservation();
-  for (const auto& o : outbox_) {
-    ANTON_CHECK_MSG(o.empty() && o.enqueued() == o.drained(),
-                    "executor outbox imbalance: " << o.enqueued()
-                        << " enqueued, " << o.drained() << " drained");
-  }
-  engine.check_mailbox_balance();
-  engine.check_arenas();
-  torus.set_shard_lanes(0);
-
-  return finalize(t0, t_end);
-}
-
-// Barrier-time planning (coordinating thread, shards idle).  Completion
-// records are sorted by (completion time, node, per-node seq) — all
-// shard-count independent — and their sends planned in that order against
-// the shared link state, so the torus evolves exactly as it would under one
-// shard.  Window monotonicity makes the order globally time-sorted across
-// barriers: a record drained at barrier k completed before w_end(k), and
-// every later record completes at or after w_end(k).
-void Executor::drain_outboxes() {
-  send_gather_.clear();
-  for (auto& o : outbox_) {
-    while (!o.empty()) {
-      send_gather_.push_back(  // anton-lint: allow(hot-alloc) amortized
-          o.front());
-      o.pop();
-    }
-    ANTON_CHECK_MSG(o.enqueued() == o.drained(),
-                    "executor outbox imbalance at barrier: " << o.enqueued()
-                        << " enqueued, " << o.drained() << " drained");
-  }
-  std::sort(send_gather_.begin(), send_gather_.end(),
-            [](const SendRec& a, const SendRec& b) {
-              if (a.t != b.t) return a.t < b.t;
-              if (a.node != b.node) return a.node < b.node;
-              return a.seq < b.seq;
-            });
-  for (const SendRec& rec : send_gather_) {
-    const TaskGraph::Task& t = graph_->task(rec.task);
-    for (const auto& s : t.sends) {
-      const int dst_task = s.dst_task;
-      const int dst_node = graph_->task(dst_task).node;
-      torus_->note_injected();
-      const sim::SimTime deliver =
-          torus_->plan_unicast_at(rec.t, t.node, dst_node, s.bytes);
-      queue_for(dst_node).schedule_at(
-          deliver,
-          [this, dst_task, id = static_cast<int>(rec.task),
-           lane = node_shard_[static_cast<size_t>(dst_node)]] {
-            torus_->note_delivered(lane);
-            notify(dst_task, id);
-          });
-    }
-    if (!t.mcast_dependents.empty()) {
-      mcast_nodes_.clear();
-      for (int dep : t.mcast_dependents) {
-        mcast_nodes_.push_back(  // anton-lint: allow(hot-alloc) amortized
-            graph_->task(dep).node);
-      }
-      torus_->plan_multicast_at(rec.t, t.node, mcast_nodes_, t.mcast_bytes);
-      for (size_t i = 0; i < t.mcast_dependents.size(); ++i) {
-        const int dst_task = t.mcast_dependents[i];
-        const int dst_node = graph_->task(dst_task).node;
-        torus_->note_injected();
-        queue_for(dst_node).schedule_at(
-            torus_->mcast_deliver_time(i),
-            [this, dst_task, id = static_cast<int>(rec.task),
-             lane = node_shard_[static_cast<size_t>(dst_node)]] {
-              torus_->note_delivered(lane);
-              notify(dst_task, id);
-            });
-      }
-    }
-  }
-  // Delivered lanes written by the last window fold here, on the
-  // coordinator, so packets_delivered() is current at every barrier.
-  torus_->fold_shard_lanes();
 }
 
 ExecStats execute(TaskGraph& graph, const arch::MachineConfig& config,

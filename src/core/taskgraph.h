@@ -29,8 +29,6 @@
 #include "noc/torus.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
-#include "sim/mailbox.h"
-#include "sim/parallel_engine.h"
 
 namespace anton::core {
 
@@ -134,30 +132,15 @@ struct ExecStats {
 // nothing.  Not reentrant; the graph must outlive the call.
 class Executor {
  public:
-  // `torus` must have as many nodes as the graph references.
-  // Deterministic.  When `trace` is non-null every task becomes a
-  // complete-event span on (trace_pid, tid = node * kNumUnits + unit) named
-  // after its phase.  The returned reference stays valid (and is
-  // overwritten) across run() calls.
+  // `torus` must have as many nodes as the graph references; a task pinned
+  // outside it throws anton::Error.  Deterministic.  When `trace` is
+  // non-null every task becomes a complete-event span on (trace_pid,
+  // tid = node * kNumUnits + unit) named after its phase.  The returned
+  // reference stays valid (and is overwritten) across run() calls.
   const ExecStats& run(TaskGraph& graph, const arch::MachineConfig& config,
                        noc::Torus& torus, sim::EventQueue& queue,
                        obs::TraceWriter* trace = nullptr,
                        int trace_pid = obs::kPidMachine);
-
-  // Sharded variant: plays the graph on a sim::ParallelEngine whose shard
-  // queues partition the torus node grid (ParallelEngine::shard_of).  Every
-  // per-task event runs on its node's shard; NoC sends are deferred into
-  // per-shard outbox rings and planned at window barriers on the
-  // coordinating thread, in canonical (completion time, node, per-node seq)
-  // order, against the shared torus link state — so link contention, packet
-  // conservation and all returned statistics are bitwise identical at every
-  // shard count (including 1).  Requires event-driven sync (BSP's barrier
-  // deps cross nodes without messages, which has no sound lookahead) and no
-  // TraceWriter (not thread-safe).  The engine must be quiescent on entry;
-  // the caller owns engine reset between runs.
-  const ExecStats& run_sharded(TaskGraph& graph,
-                               const arch::MachineConfig& config,
-                               noc::Torus& torus, sim::ParallelEngine& engine);
 
   const ExecStats& stats() const { return stats_; }
 
@@ -169,33 +152,11 @@ class Executor {
   void emit_span(const TaskGraph::Task& t, size_t unit_key,
                  sim::SimTime dispatch, sim::SimTime end);
 
-  // The queue `node`'s events execute on: the bound serial queue, or the
-  // node's shard queue when running under a parallel engine.
-  sim::EventQueue& queue_for(int node) {
-    return engine_ == nullptr
-               ? *queue_
-               : engine_->queue(node_shard_[static_cast<size_t>(node)]);
-  }
-
-  // Shared set-up / tear-down halves of run() and run_sharded().
-  void prepare(TaskGraph& graph, const arch::MachineConfig& config,
-               noc::Torus& torus);
-  const ExecStats& finalize(sim::SimTime t0, sim::SimTime t_end);
-
-  // Window-barrier callback (coordinating thread): drains the per-shard
-  // outboxes, sorts the completion records canonically, plans their NoC
-  // traffic and schedules the deliveries into the destination shards.
-  void drain_outboxes();
-  static void barrier_hook(void* ctx) {
-    static_cast<Executor*>(ctx)->drain_outboxes();
-  }
-
   // Bound for the duration of run().
   TaskGraph* graph_ = nullptr;
   const arch::MachineConfig* config_ = nullptr;
   noc::Torus* torus_ = nullptr;
   sim::EventQueue* queue_ = nullptr;
-  sim::ParallelEngine* engine_ = nullptr;
   obs::TraceWriter* trace_ = nullptr;
   int trace_pid_ = obs::kPidMachine;
   sim::SimTime t0_ = 0;
@@ -217,32 +178,6 @@ class Executor {
   std::vector<double> crit_phase_;
   std::vector<bool> crit_touched_;
   uint64_t tasks_executed_ = 0;
-
-  // ---- Sharded-run state (unused when engine_ == nullptr) ----------------
-  // A task completion whose sends must be planned at the next barrier.  The
-  // sort key (t, node, seq) is shard-count independent: t and node come from
-  // the graph/simulation, seq is the node-local completion order (itself
-  // deterministic by the engine's reproducibility argument).
-  struct SendRec {
-    sim::SimTime t;  // completion time of the sending task
-    uint64_t seq;    // per-node completion sequence
-    int32_t task;
-    uint32_t node;
-  };
-  struct alignas(64) PadCount {
-    uint64_t v = 0;
-  };
-  std::vector<int> node_shard_;         // node -> owning shard
-  std::vector<uint64_t> node_send_seq_; // per-node completion counters
-  std::vector<sim::ShardRing<SendRec>> outbox_;  // one per shard
-  std::vector<SendRec> send_gather_;    // barrier drain scratch (retained)
-  std::vector<size_t> shard_senders_;   // outbox sizing scratch (retained)
-  // Per-node × phase accumulators (single writer per node), folded in
-  // ascending node order after the run so the floating-point sums are
-  // shard-count independent.
-  std::vector<double> node_phase_busy_;
-  std::vector<double> node_phase_end_;
-  std::vector<PadCount> shard_tasks_;   // tasks executed, per shard
 
   ExecStats stats_;
 };

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <map>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -323,46 +321,6 @@ TaskGraph build_step_graph(const Workload& w,
   return g;
 }
 
-namespace {
-
-// ANTON_DES_SHARDS overrides MachineConfig::des_shards (negative / malformed
-// values fall back to the config).
-int resolve_des_shards(const arch::MachineConfig& config) {
-  if (const char* env = std::getenv("ANTON_DES_SHARDS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 0) return static_cast<int>(v);
-  }
-  return config.des_shards;
-}
-
-// Conservative-window width for a step graph: the minimum latency of any
-// message the graph can send.  Cross-node sends are bounded below by
-// injection overhead plus one router hop; a same-node (loopback) send only
-// guarantees the injection overhead, so its presence shrinks the window.
-double graph_lookahead_ns(const TaskGraph& graph, const noc::Torus& torus) {
-  bool loopback = false;
-  for (int i = 0; i < graph.num_tasks() && !loopback; ++i) {
-    const TaskGraph::Task& t = graph.task(i);
-    for (const auto& s : t.sends) {
-      if (graph.task(s.dst_task).node == t.node) {
-        loopback = true;
-        break;
-      }
-    }
-    for (int dep : t.mcast_dependents) {
-      if (graph.task(dep).node == t.node) {
-        loopback = true;
-        break;
-      }
-    }
-  }
-  return loopback ? torus.min_loopback_latency_ns()
-                  : torus.min_remote_latency_ns();
-}
-
-}  // namespace
-
 TimestepRunner::TimestepRunner(const Workload& workload,
                                const arch::MachineConfig& config,
                                const StepOptions& options)
@@ -372,28 +330,6 @@ TimestepRunner::TimestepRunner(const Workload& workload,
       torus_(config.noc, &queue_) {
   obs::MetricsRegistry* reg = options_.metrics;
   obs::TraceWriter* trace = options_.trace;
-
-  // Parallel-DES engine: only for event-driven graphs (BSP barrier deps
-  // cross nodes without messages) and only without a TraceWriter (not
-  // thread-safe).  Both fall back to the serial legacy engine.
-  int shards = resolve_des_shards(config);
-  if (trace != nullptr || config.sync != arch::SyncModel::kEventDriven) {
-    shards = 0;
-  }
-  shards = std::min(shards, config.noc.num_nodes());
-  des_shards_ = shards;
-  if (shards > 0) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned want = std::min(static_cast<unsigned>(shards), hw);
-    if (want > 1) pool_ = std::make_unique<ThreadPool>(want - 1);
-    engine_ = std::make_unique<sim::ParallelEngine>(
-        shards, graph_lookahead_ns(graph_, torus_), pool_.get());
-    // Pre-size shard arenas from the topology: every task owns at most one
-    // pending completion event; deliveries grow the arenas once, on the
-    // warmup run, like the serial queue.
-    engine_->reserve(
-        static_cast<size_t>(graph_.num_tasks() / shards + 1), 1);
-  }
   if (reg != nullptr || trace != nullptr) {
     sim::QueueTelemetry qt;
     if (reg != nullptr) {
@@ -416,7 +352,6 @@ double TimestepRunner::run_timestep() {
   // Fresh simulated clock: the queue clock restarts at zero and link
   // busy-until horizons clear, so every replay sees an identical machine.
   queue_.reset();
-  if (engine_ != nullptr) engine_->reset();
   torus_.reset_time();
   obs::TraceWriter* trace = options_.trace;
   if (trace != nullptr) trace->set_ts_offset_us(options_.trace_ts_offset_us);
@@ -426,10 +361,7 @@ double TimestepRunner::run_timestep() {
   obs::PerfSample perf0;
   if (sample_perf) perf0 = perf_->read();
 
-  const ExecStats& ex =
-      engine_ != nullptr
-          ? executor_.run_sharded(graph_, config_, torus_, *engine_)
-          : executor_.run(graph_, config_, torus_, queue_, trace);
+  const ExecStats& ex = executor_.run(graph_, config_, torus_, queue_, trace);
   step_ns_ = ex.makespan_ns;
 
   if (sample_perf && perf0.valid) {
@@ -458,7 +390,6 @@ double TimestepRunner::run_timestep() {
     if (ex.makespan_ns > 0) {
       torus_.export_link_occupancy(reg, "des.noc", ex.makespan_ns);
     }
-    if (engine_ != nullptr) engine_->export_metrics(reg, "des.pdes");
   }
   return step_ns_;
 }

@@ -31,12 +31,10 @@
 #include "core/taskgraph.h"
 #include "core/workload.h"
 #include "noc/torus.h"
-#include "common/threadpool.h"
 #include "obs/metrics.h"
 #include "obs/perfcounters.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
-#include "sim/parallel_engine.h"
 
 namespace anton::core {
 
@@ -92,16 +90,6 @@ class TimestepRunner {
   // starts its queue clock at zero).
   void set_trace_offset_us(double us) { options_.trace_ts_offset_us = us; }
 
-  // Shards the parallel engine actually runs with: MachineConfig::des_shards
-  // overridden by ANTON_DES_SHARDS, clamped to the node count, and forced to
-  // 0 (serial legacy engine) when a TraceWriter is attached or the sync
-  // model is bulk-synchronous.
-  int des_shards() const { return des_shards_; }
-  // The conservative-window width the engine was built with (0 when serial).
-  double lookahead_ns() const {
-    return engine_ != nullptr ? engine_->lookahead_ns() : 0.0;
-  }
-
  private:
   arch::MachineConfig config_;
   StepOptions options_;
@@ -110,11 +98,6 @@ class TimestepRunner {
   noc::Torus torus_;
   Executor executor_;
   double step_ns_ = 0;
-  // Parallel-DES execution (null when des_shards() == 0): the worker pool
-  // and the sharded engine the executor replays the graph on.
-  int des_shards_ = 0;
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<sim::ParallelEngine> engine_;
   // Host-side hardware counters around each replay (ANTON_PERF=1 and a
   // metrics registry): exports des.host.ipc / des.host.llc_miss_rate — how
   // efficiently the *simulator itself* runs, next to the simulated timings.

@@ -11,7 +11,18 @@ Torus::Torus(const TorusConfig& config, sim::EventQueue* queue)
   ANTON_CHECK(queue != nullptr);
   ANTON_CHECK_MSG(config.nx >= 1 && config.ny >= 1 && config.nz >= 1,
                   "torus dimensions must be positive");
-  ANTON_CHECK(config.link_bandwidth_gbs > 0 && config.hop_latency_ns >= 0);
+  ANTON_CHECK_MSG(config.link_bandwidth_gbs > 0,
+                  "noc.link_bandwidth_gbs must be positive, got "
+                      << config.link_bandwidth_gbs);
+  ANTON_CHECK_MSG(config.hop_latency_ns >= 0,
+                  "noc.hop_latency_ns must be >= 0, got "
+                      << config.hop_latency_ns);
+  ANTON_CHECK_MSG(config.injection_overhead_ns >= 0,
+                  "noc.injection_overhead_ns must be >= 0, got "
+                      << config.injection_overhead_ns);
+  ANTON_CHECK_MSG(config.packet_overhead_bytes >= 0,
+                  "noc.packet_overhead_bytes must be >= 0, got "
+                      << config.packet_overhead_bytes);
   link_free_.assign(static_cast<size_t>(num_nodes()) * 6, 0.0);
   link_busy_total_.assign(link_free_.size(), 0.0);
   link_derate_.assign(link_free_.size(), 1.0);
@@ -137,9 +148,9 @@ sim::SimTime Torus::traverse(sim::SimTime now, std::span<const LinkId> links,
   return head + last_ser_ns;
 }
 
-sim::SimTime Torus::plan_unicast_at(sim::SimTime now, int src, int dst,
-                                    double bytes) {
+sim::SimTime Torus::plan_unicast(int src, int dst, double bytes) {
   ANTON_HOT_NOALLOC();
+  const sim::SimTime now = queue_->now();
   ANTON_CHECK(src >= 0 && src < num_nodes() && dst >= 0 && dst < num_nodes());
   ANTON_CHECK(bytes >= 0);
   const double wire_bytes = bytes + config_.packet_overhead_bytes;
@@ -163,9 +174,10 @@ sim::SimTime Torus::plan_unicast_at(sim::SimTime now, int src, int dst,
   return deliver;
 }
 
-void Torus::plan_multicast_at(sim::SimTime now, int src,
-                              std::span<const int> dsts, double bytes) {
+void Torus::plan_multicast(int src, std::span<const int> dsts,
+                           double bytes) {
   ANTON_HOT_NOALLOC();
+  const sim::SimTime now = queue_->now();
   ANTON_CHECK(bytes >= 0);
   const double wire_bytes = bytes + config_.packet_overhead_bytes;
   const double ser_ns = wire_bytes / config_.link_bandwidth_gbs;
@@ -297,56 +309,25 @@ void Torus::export_link_occupancy(obs::MetricsRegistry* registry,
 }
 
 void Torus::check_quiescent() const {
-  check_conservation();
+  ANTON_CHECK_MSG(delivered_ == injected_,
+                  "packet conservation violated: injected "
+                      << injected_ << " delivered " << delivered_ << " ("
+                      << injected_ - delivered_ << " in flight)");
   // Pool recycle half of the invariant: every delivered packet's callable
   // slot must have been returned to the queue's free list — the arena
   // balances (slots == free + pending) or a slot leaked / double-freed.
   queue_->check_arena();
 }
 
-void Torus::set_shard_lanes(int lanes) {
-  ANTON_CHECK_MSG(lanes >= 0, "shard lane count must be non-negative");
-  for (const auto& lane : delivered_lanes_) {
-    ANTON_CHECK_MSG(lane.v == 0, "resizing shard lanes with unfolded counts");
-  }
-  delivered_lanes_.assign(static_cast<size_t>(lanes), PadCount{});
-}
-
-void Torus::fold_shard_lanes() {
-  for (auto& lane : delivered_lanes_) {
-    delivered_ += lane.v;
-    lane.v = 0;
-  }
-}
-
-void Torus::check_conservation() const {
-  // In sharded runs the caller must fold_shard_lanes() first so delivered_
-  // holds the torus-wide total; an unfolded lane here is itself a bug.
-  for (const auto& lane : delivered_lanes_) {
-    ANTON_CHECK_MSG(lane.v == 0,
-                    "conservation check with unfolded shard lanes");
-  }
-  ANTON_CHECK_MSG(delivered_ == injected_,
-                  "packet conservation violated: injected "
-                      << injected_ << " delivered " << delivered_ << " ("
-                      << injected_ - delivered_ << " in flight)");
-}
-
 const NocStats& Torus::stats() {
   // Conservation: the model must never deliver a packet it did not inject,
   // and every packet still in flight holds exactly one pending event (its
   // pooled delivery callable) — fewer pending events than in-flight packets
-  // means a delivery event was lost or its slot recycled early.  The
-  // delivered side is only current between barriers when running sharded
-  // (per-shard lanes fold in lazily), so both checks are skipped until the
-  // lanes are detached or folded to zero in-flight.
-  const bool lanes_armed = !delivered_lanes_.empty();
-  (void)lanes_armed;  // invariants compile out in release
-  ANTON_CHECK_INVARIANT(lanes_armed || delivered_ <= injected_,
+  // means a delivery event was lost or its slot recycled early.
+  ANTON_CHECK_INVARIANT(delivered_ <= injected_,
                         "packet over-delivery: injected "
                             << injected_ << " delivered " << delivered_);
-  ANTON_CHECK_INVARIANT(lanes_armed ||
-                            injected_ - delivered_ <= queue_->pending(),
+  ANTON_CHECK_INVARIANT(injected_ - delivered_ <= queue_->pending(),
                         "in-flight packets ("
                             << injected_ - delivered_
                             << ") exceed pending events ("

@@ -198,59 +198,6 @@ class Torus {
   // every injected packet has been delivered and the event pool balances.
   void check_quiescent() const;
 
-  // ---- Sharded (parallel-DES) send path ----------------------------------
-  //
-  // Under sim::ParallelEngine the node grid is split across shard-private
-  // event queues, so the torus can no longer read "now" from the single
-  // attached queue nor schedule deliveries into it.  Planning runs on the
-  // coordinating thread at window barriers, in canonical (time, node, seq)
-  // order, against the same shared link state the serial path uses — link
-  // reservation is inherently global, so serializing it at barriers is what
-  // keeps the contention model and its causality invariant intact.  The
-  // caller then schedules each delivery into the destination node's shard
-  // queue and reports it through a per-shard delivered lane.
-
-  // plan_unicast with an explicit current time; returns the delivery time.
-  sim::SimTime plan_unicast_at(sim::SimTime now, int src, int dst,
-                               double bytes);
-  // plan_multicast with an explicit current time; per-destination delivery
-  // times are read back through mcast_deliver_time(i) (valid until the next
-  // plan_multicast* call).
-  void plan_multicast_at(sim::SimTime now, int src, std::span<const int> dsts,
-                         double bytes);
-  sim::SimTime mcast_deliver_time(size_t i) const { return mcast_deliver_[i]; }
-
-  // Conservation accounting for caller-scheduled deliveries.  note_injected
-  // runs on the coordinator while planning; note_delivered runs on whichever
-  // worker executes the destination shard's window and bumps that shard's
-  // cache-line-padded lane (single writer per window).  fold_shard_lanes —
-  // coordinator, at a window barrier — folds the lanes into the aggregate
-  // delivered counter so packets_delivered()/check_conservation() see the
-  // torus-wide total.  The window-barrier rendezvous orders all of this.
-  void set_shard_lanes(int lanes);
-  int shard_lanes() const { return static_cast<int>(delivered_lanes_.size()); }
-  void note_injected() { ++injected_; }
-  void note_delivered(int lane) {
-    ++delivered_lanes_[static_cast<size_t>(lane)].v;
-  }
-  void fold_shard_lanes();
-
-  // The conservation half of check_quiescent(), without the serial queue's
-  // arena accounting — the sharded runner pairs this with
-  // ParallelEngine::check_arenas() across the shard queues.
-  void check_conservation() const;
-
-  // Lower bound on any cross-node delivery latency (injection overhead plus
-  // one router hop, before any serialization): the conservative-window
-  // lookahead for sharded runs.  Same-node loopback deliveries only
-  // guarantee the injection overhead.
-  double min_remote_latency_ns() const {
-    return config_.injection_overhead_ns + config_.hop_latency_ns;
-  }
-  double min_loopback_latency_ns() const {
-    return config_.injection_overhead_ns;
-  }
-
  private:
   int link_index(const LinkId& l) const {
     return l.node * 6 + l.dir;
@@ -263,14 +210,9 @@ class Torus {
   // Non-template halves of the send path: all routing, contention and stats
   // bookkeeping, using persistent scratch.  plan_unicast returns the
   // delivery time; plan_multicast fills mcast_deliver_[i] per destination.
-  // Both read "now" from the attached serial queue and forward to the _at
-  // variants.
-  sim::SimTime plan_unicast(int src, int dst, double bytes) {
-    return plan_unicast_at(queue_->now(), src, dst, bytes);
-  }
-  void plan_multicast(int src, std::span<const int> dsts, double bytes) {
-    plan_multicast_at(queue_->now(), src, dsts, bytes);
-  }
+  // Both read "now" from the attached queue.
+  sim::SimTime plan_unicast(int src, int dst, double bytes);
+  void plan_multicast(int src, std::span<const int> dsts, double bytes);
 
   // Appends the policy-selected route to `out` (persistent-scratch variant
   // of route()).
@@ -287,14 +229,6 @@ class Torus {
   uint64_t injected_ = 0;                 // packets handed to unicast/multicast
   uint64_t delivered_ = 0;                // on_delivery callbacks fired
   NocStats stats_;
-
-  // Per-shard delivery lanes for the parallel engine: one padded counter per
-  // shard, each written by a single worker per window, folded into
-  // delivered_ at window barriers.  Empty when running serial.
-  struct alignas(64) PadCount {
-    uint64_t v = 0;
-  };
-  std::vector<PadCount> delivered_lanes_;
 
   // Send-path scratch (persistent; grown once, recycled every call).
   mutable std::vector<LinkId> route_scratch_;

@@ -130,7 +130,6 @@ const char* kind_name(Kind k) {
     case Kind::kDesEvent: return "des.event";
     case Kind::kNocSend: return "noc.send";
     case Kind::kInvariant: return "invariant";
-    case Kind::kPdesWindow: return "pdes.window";
   }
   return "unknown";
 }

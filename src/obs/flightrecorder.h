@@ -54,8 +54,6 @@ enum class Kind : uint32_t {
   kDesEvent = 2,   // DES event executed: t = sim ns, payload = event seq
   kNocSend = 3,    // NoC delivery planned: t = sim ns, payload = src<<32|dst
   kInvariant = 4,  // check failure: label = expr, payload = line
-  kPdesWindow = 5, // parallel-DES window barrier: t = window end (sim ns),
-                   // payload = events executed in the window
 };
 
 struct Record {

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/error.h"
@@ -50,20 +49,22 @@ class EventQueue {
   template <class F>
   void schedule_at(SimTime t, F&& fn) {
     ANTON_HOT_NOALLOC();
-    const uint32_t slot = alloc_slot(t);
+    ANTON_CHECK_MSG(t >= now_ - 1e-9, "event scheduled in the past: t="
+                                          << t << " now=" << now_);
+    if (telemetry_.horizon_ns != nullptr)
+      telemetry_.horizon_ns->add(std::max(0.0, t - now_));
+    uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = static_cast<uint32_t>(arena_.size());
+      arena_.emplace_back();  // anton-lint: allow(hot-alloc) amortized warmup
+    }
     arena_[slot].emplace(std::forward<F>(fn));
-    push_entry(t, slot);
-  }
-
-  // Moves an already-erased callable into a pooled slot.  This is the
-  // mailbox-drain insertion path of the parallel engine: parcels carry their
-  // payload as a Callback, and wrapping that in schedule_at would nest an
-  // InlineFn inside an InlineFn (which cannot fit its own buffer).
-  void schedule_move(SimTime t, Callback&& fn) {
-    ANTON_HOT_NOALLOC();
-    const uint32_t slot = alloc_slot(t);
-    arena_[slot] = std::move(fn);
-    push_entry(t, slot);
+    heap_.push_back(  // anton-lint: allow(hot-alloc) amortized warmup
+        Entry{t, seq_++, slot});
+    sift_up(heap_.size() - 1);
   }
 
   template <class F>
@@ -78,38 +79,11 @@ class EventQueue {
   size_t pending() const { return heap_.size(); }
   uint64_t executed() const { return executed_; }
 
-  // Timestamp of the earliest pending event; +infinity when empty.  The
-  // parallel engine uses this to size conservative windows.
-  SimTime next_time() const {
-    return heap_.empty() ? std::numeric_limits<SimTime>::infinity()
-                         : heap_.front().time;
-  }
-
   // Runs events until the queue drains; returns the final time.
   SimTime run() {
     ANTON_HOT_NOALLOC();
     while (!heap_.empty()) step();
     return now_;
-  }
-
-  // Executes every event with time strictly below `horizon` (events at
-  // exactly `horizon` belong to the next window); returns how many ran.
-  uint64_t run_until(SimTime horizon) {
-    ANTON_HOT_NOALLOC();
-    uint64_t n = 0;
-    while (!heap_.empty() && heap_.front().time < horizon) {
-      step();
-      ++n;
-    }
-    return n;
-  }
-
-  // Pre-sizes the arena, heap and free list for `events` concurrent pending
-  // events, so warmup growth never happens on the hot path.
-  void reserve(size_t events) {
-    arena_.reserve(events);
-    heap_.reserve(events);
-    free_.reserve(events);
   }
 
   // Executes the single earliest event.
@@ -176,31 +150,6 @@ class EventQueue {
   static bool before(const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;  // FIFO among equal timestamps
-  }
-
-  // Shared halves of schedule_at / schedule_move: slot allocation from the
-  // free list (or amortized arena growth) and the heap insertion.
-  uint32_t alloc_slot(SimTime t) {
-    ANTON_HOT_NOALLOC();
-    ANTON_CHECK_MSG(t >= now_ - 1e-9, "event scheduled in the past: t="
-                                          << t << " now=" << now_);
-    if (telemetry_.horizon_ns != nullptr)
-      telemetry_.horizon_ns->add(std::max(0.0, t - now_));
-    if (!free_.empty()) {
-      const uint32_t slot = free_.back();
-      free_.pop_back();
-      return slot;
-    }
-    const uint32_t slot = static_cast<uint32_t>(arena_.size());
-    arena_.emplace_back();  // anton-lint: allow(hot-alloc) amortized warmup
-    return slot;
-  }
-
-  void push_entry(SimTime t, uint32_t slot) {
-    ANTON_HOT_NOALLOC();
-    heap_.push_back(  // anton-lint: allow(hot-alloc) amortized warmup
-        Entry{t, seq_++, slot});
-    sift_up(heap_.size() - 1);
   }
 
   void sift_up(size_t i) {

@@ -21,7 +21,6 @@
 #include "core/workload.h"
 #include "noc/torus.h"
 #include "sim/event_queue.h"
-#include "sim/parallel_engine.h"
 
 namespace {
 std::atomic<std::int64_t> g_allocs{0};
@@ -163,77 +162,6 @@ TEST(DesNoAlloc, WarmedTimestepRunnerAllocatesNothing) {
 
   // Replay is exact, not approximate: same graph, same queue order, same
   // link horizons from t = 0 every run.
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(second, third);
-  EXPECT_GT(third, 0.0);
-}
-
-// Chain event for the sharded engine: hops between shards through the
-// mailboxes, so the steady-state claim covers rings, gather scratch and the
-// per-window barrier path, not just the shard-private queues.
-struct ShardHopper {
-  sim::ParallelEngine* eng;
-  uint32_t chain;
-  int remaining;
-  int shard;
-  void operator()() const {
-    if (remaining <= 0) return;
-    const double delay = 1.0 + 0.5 * (remaining % 3);
-    const int next = (shard + (remaining % 2)) % eng->shards();
-    sim::EventQueue& q = eng->queue(shard);
-    if (next == shard) {
-      q.schedule_after(delay, ShardHopper{eng, chain, remaining - 1, shard});
-    } else {
-      eng->post(shard, next, q.now() + delay, chain,
-                ShardHopper{eng, chain, remaining - 1, next});
-    }
-  }
-};
-
-TEST(DesNoAlloc, WarmedParallelEngineStormAllocatesNothing) {
-  sim::ParallelEngine eng(4, 1.0, nullptr);
-  eng.reserve(32, 32);
-  auto storm = [&] {
-    for (uint32_t c = 0; c < 32; ++c) {
-      const int s = sim::ParallelEngine::shard_of(static_cast<int>(c), 32, 4);
-      eng.queue(s).schedule_after(1.0 + 0.25 * c,
-                                  ShardHopper{&eng, c, 50, s});
-    }
-    eng.run();
-    eng.check_mailbox_balance();
-    eng.check_arenas();
-  };
-  storm();  // grows arenas, heaps, rings and gather scratch to steady state
-  eng.reset();
-
-  const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
-  storm();
-  const std::int64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(delta, 0) << "steady-state sharded storm allocated";
-  EXPECT_GT(eng.stats().parcels, 0u) << "storm never crossed a shard";
-}
-
-TEST(DesNoAlloc, WarmedShardedRunnerAllocatesNothing) {
-  BuilderOptions opt;
-  opt.total_atoms = 2048;
-  opt.temperature_k = -1;
-  const System sys = build_solvated_system(opt);
-  arch::MachineConfig cfg = arch::MachineConfig::anton2(2, 2, 2);
-  cfg.des_shards = 4;
-  const core::Workload workload = core::Workload::build(sys, cfg);
-
-  core::TimestepRunner runner(workload, cfg);
-  ASSERT_EQ(runner.des_shards(), 4);
-  const double first = runner.run_timestep();
-  const double second = runner.run_timestep();
-
-  const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
-  const double third = runner.run_timestep();
-  const std::int64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(delta, 0) << "steady-state sharded run_timestep() allocated";
-
   EXPECT_EQ(first, second);
   EXPECT_EQ(second, third);
   EXPECT_GT(third, 0.0);

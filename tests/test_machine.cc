@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "chem/builder.h"
 #include "core/machine.h"
 #include "md/engine.h"
@@ -163,6 +166,53 @@ TEST(Machine, FunctionalRunMatchesGoldEngineTrajectory) {
   for (int i = 0; i < sys_machine.num_atoms(); ++i) {
     EXPECT_EQ(sys_machine.positions()[static_cast<size_t>(i)],
               sim.system().positions()[static_cast<size_t>(i)]);
+  }
+}
+
+TEST(Machine, DegenerateConfigRejected) {
+  // Every case must end in a clean anton::Error naming the bad field:
+  // never a zero or infinite us/day, a faster machine from a negative cost,
+  // or a failure deep inside the event queue.
+  BuilderOptions o;
+  o.total_atoms = 2048;
+  o.temperature_k = -1;
+  const System sys = build_solvated_system(o);
+  using Config = arch::MachineConfig;
+  struct Case {
+    const char* field;
+    void (*mutate)(Config&);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Case cases[] = {
+      {"ppims_per_node", [](Config& c) { c.ppims_per_node = 0; }},
+      {"ppim_clock_ghz", [](Config& c) { c.ppim_clock_ghz = kInf; }},
+      {"geometry_cores", [](Config& c) { c.geometry_cores = 0; }},
+      {"gc_clock_ghz", [](Config& c) { c.gc_clock_ghz = -1.65; }},
+      {"htis_task_overhead_ns",
+       [](Config& c) { c.htis_task_overhead_ns = -100; }},
+      {"gc_task_overhead_ns", [](Config& c) { c.gc_task_overhead_ns = -1; }},
+      {"sync_trigger_ns", [](Config& c) { c.sync_trigger_ns = -4; }},
+      {"barrier_base_ns", [](Config& c) { c.barrier_base_ns = -400; }},
+      {"noc.link_bandwidth_gbs",
+       [](Config& c) { c.noc.link_bandwidth_gbs = 0; }},
+      {"noc.hop_latency_ns", [](Config& c) { c.noc.hop_latency_ns = -30; }},
+      {"noc.injection_overhead_ns",
+       [](Config& c) { c.noc.injection_overhead_ns = -5; }},
+      {"noc.packet_overhead_bytes",
+       [](Config& c) { c.noc.packet_overhead_bytes = -32; }},
+  };
+  for (const Case& k : cases) {
+    Config cfg = Config::anton2(2, 2, 2);
+    k.mutate(cfg);
+    try {
+      const AntonMachine m(cfg);
+      const PerfReport r = m.estimate(sys);
+      ADD_FAILURE() << k.field << " accepted: " << r.us_per_day()
+                    << " us/day";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
+          << e.what();
+    }
   }
 }
 

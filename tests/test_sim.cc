@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <memory>
 #include <utility>
@@ -174,59 +173,6 @@ TEST(EventQueue, ArenaSlotsRecycleAcrossBursts) {
   // A warmed pool satisfies identical bursts without growing.
   EXPECT_EQ(q.arena_slots(), warm);
   EXPECT_EQ(q.arena_free(), q.arena_slots());
-  q.check_arena();
-}
-
-TEST(EventQueue, NextTimeTracksEarliestPending) {
-  EventQueue q;
-  EXPECT_FALSE(std::isfinite(q.next_time()));  // empty: +infinity
-  q.schedule_at(7.0, [] {});
-  q.schedule_at(3.0, [] {});
-  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
-  q.step();
-  EXPECT_DOUBLE_EQ(q.next_time(), 7.0);
-  q.run();
-  EXPECT_FALSE(std::isfinite(q.next_time()));
-}
-
-TEST(EventQueue, RunUntilStopsStrictlyBeforeHorizon) {
-  // The window loop relies on run_until's strict `<`: an event at exactly
-  // the horizon belongs to the next window.
-  EventQueue q;
-  std::vector<double> fired;
-  for (const double t : {1.0, 2.0, 3.0, 4.0}) {
-    q.schedule_at(t, [&fired, &q] { fired.push_back(q.now()); });
-  }
-  q.run_until(3.0);
-  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0}));
-  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
-  q.run_until(100.0);
-  EXPECT_EQ(fired.size(), 4u);
-}
-
-TEST(EventQueue, ScheduleMoveTransfersPrebuiltCallback) {
-  // The mailbox drain hands the queue an already-built Callback; the
-  // callable must move in without a copy or a fresh allocation site.
-  EventQueue q;
-  int runs = 0;
-  EventQueue::Callback cb([&runs] { ++runs; });
-  q.schedule_move(4.0, std::move(cb));
-  q.run();
-  EXPECT_EQ(runs, 1);
-  EXPECT_DOUBLE_EQ(q.now(), 4.0);
-}
-
-TEST(EventQueue, ReservePrewarmsArenaAndHeap) {
-  EventQueue q;
-  q.reserve(64);
-  for (int i = 0; i < 64; ++i) q.schedule_at(1.0 + i, [] {});
-  const size_t slots = q.arena_slots();
-  EXPECT_EQ(slots, 64u);
-  q.run();
-  // A second identical burst reuses the same slots.
-  for (int i = 0; i < 64; ++i) q.schedule_at(100.0 + i, [] {});
-  EXPECT_EQ(q.arena_slots(), slots);
-  q.run();
   q.check_arena();
 }
 

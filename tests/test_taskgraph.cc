@@ -199,5 +199,16 @@ TEST(TaskGraph, LocalDepAcrossNodesRejected) {
   EXPECT_NO_THROW(g.add_barrier_dep(a, b));
 }
 
+TEST(TaskGraph, TaskOnNodeOutsideTorusRejected) {
+  // add_task only knows node >= 0; the executor owns the torus, so it must
+  // reject node 8 of a 2x2x2 machine up front instead of indexing its
+  // per-node bookkeeping out of range.
+  const auto c = bare_machine();
+  TaskGraph g;
+  g.add_task(0, Unit::kGc, 10, "a");
+  g.add_task(8, Unit::kGc, 10, "b");
+  EXPECT_THROW(run_graph(g, c), Error);
+}
+
 }  // namespace
 }  // namespace anton::core
