@@ -3,7 +3,7 @@
 #include <unordered_set>
 
 #include "common/error.h"
-#include "geom/cells.h"
+#include "core/pair_pass.h"
 #include "geom/decomp.h"
 
 namespace anton::core {
@@ -11,7 +11,7 @@ namespace anton::core {
 namespace {
 
 // Pair-ownership rules.
-int half_shell_owner(const DomainDecomp& dd, int node_i, int node_j) {
+int half_shell_owner(int node_i, int node_j) {
   // Deterministic representative: lower of the pair after periodic
   // canonicalisation; the workload mapper's positive-half rule is
   // equivalent for counting purposes.
@@ -37,7 +37,6 @@ ImportStats analyze_decomposition(const System& system,
   DomainDecomp dd(box, nc.nx, nc.ny, nc.nz);
   const int P = dd.num_nodes();
   const double rc = config.machine_cutoff;
-  ANTON_CHECK(rc <= box.max_cutoff());
 
   const auto pos = system.positions();
   std::vector<int> owner(pos.size());
@@ -47,55 +46,19 @@ ImportStats analyze_decomposition(const System& system,
   std::vector<std::unordered_set<int>> imports(static_cast<size_t>(P));
   int64_t total_pairs = 0;
 
-  CellGrid grid(box, rc);
-  grid.bin(pos);
-  const double rc2 = rc * rc;
-  const bool tiny = grid.nx() < 3 || grid.ny() < 3 || grid.nz() < 3;
-
-  auto process = [&](int i, int j) {
+  const PairPass pass(box, pos, rc);
+  pass.for_each([&](int s, int t) {
+    const int i = pass.atom(s);
+    const int j = pass.atom(t);
     ++total_pairs;
     const int a = owner[static_cast<size_t>(i)];
     const int b = owner[static_cast<size_t>(j)];
-    int o;
-    switch (scheme) {
-      case DecompositionScheme::kHalfShell:
-        o = half_shell_owner(dd, a, b);
-        break;
-      case DecompositionScheme::kNeutralTerritory:
-        o = nt_owner(dd, a, b);
-        break;
-    }
+    const int o = scheme == DecompositionScheme::kHalfShell
+                      ? half_shell_owner(a, b)
+                      : nt_owner(dd, a, b);
     if (o != a) imports[static_cast<size_t>(o)].insert(i);
     if (o != b) imports[static_cast<size_t>(o)].insert(j);
-  };
-
-  if (tiny) {
-    const int n = static_cast<int>(pos.size());
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (box.distance2(pos[static_cast<size_t>(i)],
-                          pos[static_cast<size_t>(j)]) < rc2) {
-          process(i, j);
-        }
-      }
-    }
-  } else {
-    for (int c = 0; c < grid.num_cells(); ++c) {
-      const auto atoms_c = grid.cell_atoms(c);
-      for (int ncell : grid.half_stencil(c)) {
-        const auto atoms_n = grid.cell_atoms(ncell);
-        for (int a : atoms_c) {
-          for (int b : atoms_n) {
-            if (ncell == c && b <= a) continue;
-            if (box.distance2(pos[static_cast<size_t>(a)],
-                              pos[static_cast<size_t>(b)]) < rc2) {
-              process(std::min(a, b), std::max(a, b));
-            }
-          }
-        }
-      }
-    }
-  }
+  });
 
   ImportStats stats;
   stats.scheme = scheme;

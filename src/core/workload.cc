@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <cstdlib>
 
 #include "common/error.h"
+#include "core/pair_pass.h"
 #include "fft/fft.h"
-#include "geom/cells.h"
 
 namespace anton::core {
 
 namespace {
-
-// Packs a node-grid offset into a map key.
-int64_t pack_offset(int dx, int dy, int dz) {
-  return (static_cast<int64_t>(dx + 64) << 14) |
-         (static_cast<int64_t>(dy + 64) << 7) |
-         static_cast<int64_t>(dz + 64);
-}
 
 // Periodic node-grid delta from a to b, wrapped into (-n/2, n/2].
 int wrap_delta(int a, int b, int n) {
@@ -30,6 +23,84 @@ int wrap_delta(int a, int b, int n) {
 bool positive_half(int dx, int dy, int dz) {
   return dz > 0 || (dz == 0 && dy > 0) || (dz == 0 && dy == 0 && dx > 0);
 }
+
+// Dense index of the tile offsets a pair can span.  A pair within rc spans
+// at most r = min(ceil(rc / home box), n / 2) nodes per axis, so its tile
+// offset lies in the cube [-r, r]^3, numbered here in (dx, dy, dz)
+// lexicographic order; only its positive half is ever used.
+class TileIndex {
+ public:
+  TileIndex(const DomainDecomp& dd, double rc) {
+    const Vec3 hb = dd.home_box_lengths();
+    const int n[3] = {dd.nx(), dd.ny(), dd.nz()};
+    for (int axis = 0; axis < 3; ++axis) {
+      r_[axis] = std::min(n[axis] / 2,
+                          static_cast<int>(std::ceil(rc / hb[axis])));
+      side_[axis] = 2 * n[axis] - 1;
+    }
+    // Nodes get mixed-radix codes over 2n - 1 values per axis, so the
+    // difference of two codes identifies the coordinate difference.
+    rank_code_.resize(static_cast<size_t>(dd.num_nodes()));
+    for (int v = 0; v < dd.num_nodes(); ++v) {
+      int x, y, z;
+      dd.coords(v, &x, &y, &z);
+      rank_code_[static_cast<size_t>(v)] = code(x, y, z);
+    }
+    center_ = code(n[0] - 1, n[1] - 1, n[2] - 1);
+    lookup_.assign(static_cast<size_t>(side_[0]) * side_[1] * side_[2], -1);
+    for (int rz = 1 - n[2]; rz < n[2]; ++rz) {
+      for (int ry = 1 - n[1]; ry < n[1]; ++ry) {
+        for (int rx = 1 - n[0]; rx < n[0]; ++rx) {
+          NodeOffset d{wrap_delta(0, rx, n[0]), wrap_delta(0, ry, n[1]),
+                       wrap_delta(0, rz, n[2])};
+          if (d.dx == 0 && d.dy == 0 && d.dz == 0) continue;
+          const bool flip = !positive_half(d.dx, d.dy, d.dz);
+          if (flip) d = {-d.dx, -d.dy, -d.dz};
+          if (std::abs(d.dx) > r_[0] || std::abs(d.dy) > r_[1] ||
+              std::abs(d.dz) > r_[2]) {
+            continue;
+          }
+          lookup_[static_cast<size_t>(code(rx, ry, rz) + center_)] =
+              2 * (((d.dx + r_[0]) * (2 * r_[1] + 1) + d.dy + r_[1]) *
+                       (2 * r_[2] + 1) +
+                   d.dz + r_[2]) +
+              (flip ? 1 : 0);
+        }
+      }
+    }
+  }
+
+  int size() const {
+    return (2 * r_[0] + 1) * (2 * r_[1] + 1) * (2 * r_[2] + 1);
+  }
+  NodeOffset offset(int k) const {
+    const int sy = 2 * r_[1] + 1, sz = 2 * r_[2] + 1;
+    return {k / (sy * sz) - r_[0], k / sz % sy - r_[1], k % sz - r_[2]};
+  }
+  // 2 * offset index + flip for a pair on distinct nodes a and b, where a
+  // holds the atom with the lower index: node a's tile at the wrapped
+  // offset b - a, or with flip set, node b's tile at a - b, whichever
+  // offset is in the positive half.
+  int lookup(int a, int b) const {
+    const int e = lookup_[static_cast<size_t>(
+        rank_code_[static_cast<size_t>(b)] -
+        rank_code_[static_cast<size_t>(a)] + center_)];
+    ANTON_CHECK_MSG(e >= 0, "a pair within the cutoff spans more home boxes "
+                            "than the cutoff allows");
+    return e;
+  }
+
+ private:
+  int code(int x, int y, int z) const {
+    return (z * side_[1] + y) * side_[0] + x;
+  }
+
+  int r_[3];     // offset bound per axis
+  int side_[3];  // 2n - 1 coordinate differences per axis
+  int center_ = 0;
+  std::vector<int> rank_code_;
+  std::vector<int> lookup_;  // code difference + center -> entry, or -1
+};
 
 }  // namespace
 
@@ -59,114 +130,71 @@ Workload Workload::build(const System& system,
   ANTON_CHECK_MSG(rc <= box.max_cutoff(),
                   "machine cutoff " << rc << " exceeds minimum-image limit "
                                     << box.max_cutoff());
-  CellGrid grid(box, rc);
-  grid.bin(pos);
-  const double rc2 = rc * rc;
-  const bool tiny = grid.nx() < 3 || grid.ny() < 3 || grid.nz() < 3;
+  const PairPass pass(box, pos, rc);
+  const TileIndex index(dd, rc);
+  const int K = index.size();
+  // Node of each slot's atom, read in the pass's walk order.
+  std::vector<int> node(pos.size());
+  for (size_t s = 0; s < pos.size(); ++s) {
+    node[s] = owner[static_cast<size_t>(pass.atom(static_cast<int>(s)))];
+  }
 
-  // (node, packed_offset) -> (pairs, distinct remote atoms).
+  // Tile (v, k) = node v's tile at offset k, numbered v * K + k.
   struct TileCount {
     int64_t pairs = 0;
     int64_t remote_atoms = 0;
   };
-  std::vector<std::map<int64_t, TileCount>> tile_pairs(
-      static_cast<size_t>(P));
-  // First-touch stamps: last (tile key, owner) that counted each atom as
-  // remote; lets us count distinct remote atoms in O(1) per pair.
-  std::vector<int64_t> remote_stamp(pos.size(), -1);
-
-  auto count_pair = [&](int i, int j) {
-    const int a = owner[static_cast<size_t>(i)];
-    const int b = owner[static_cast<size_t>(j)];
+  std::vector<TileCount> tiles(static_cast<size_t>(P) * K);
+  std::vector<int64_t> internal(static_cast<size_t>(P), 0);
+  // Last tile that counted each slot's atom as remote: remote_atoms grows
+  // whenever that tile changes (see Tile::remote_atoms).
+  std::vector<int> remote_stamp(pos.size(), -1);
+  pass.for_each([&](int s, int t) {
+    const int a = node[static_cast<size_t>(s)];
+    const int b = node[static_cast<size_t>(t)];
     if (a == b) {
-      w.nodes_[static_cast<size_t>(a)].internal_pairs++;
+      internal[static_cast<size_t>(a)]++;
       return;
     }
-    int ax, ay, az, bx, by, bz;
-    dd.coords(a, &ax, &ay, &az);
-    dd.coords(b, &bx, &by, &bz);
-    int dx = wrap_delta(ax, bx, dd.nx());
-    int dy = wrap_delta(ay, by, dd.ny());
-    int dz = wrap_delta(az, bz, dd.nz());
-    int owner_rank = a;
-    int remote_atom = j;
-    if (!positive_half(dx, dy, dz)) {
-      owner_rank = b;
-      remote_atom = i;
-      dx = -dx;
-      dy = -dy;
-      dz = -dz;
-    }
-    const int64_t key = pack_offset(dx, dy, dz);
-    TileCount& tc = tile_pairs[static_cast<size_t>(owner_rank)][key];
+    const int e = index.lookup(a, b);
+    const bool flip = (e & 1) != 0;
+    const int tile = (flip ? b : a) * K + (e >> 1);
+    const int remote = flip ? s : t;
+    TileCount& tc = tiles[static_cast<size_t>(tile)];
     tc.pairs++;
-    const int64_t stamp = key * P + owner_rank;
-    if (remote_stamp[static_cast<size_t>(remote_atom)] != stamp) {
-      remote_stamp[static_cast<size_t>(remote_atom)] = stamp;
-      tc.remote_atoms++;
-    }
-  };
+    int& stamp = remote_stamp[static_cast<size_t>(remote)];
+    tc.remote_atoms += stamp != tile ? 1 : 0;
+    stamp = tile;
+  });
 
-  if (tiny) {
-    const int n = static_cast<int>(pos.size());
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (box.distance2(pos[static_cast<size_t>(i)],
-                          pos[static_cast<size_t>(j)]) < rc2) {
-          count_pair(i, j);
-        }
-      }
-    }
-  } else {
-    for (int c = 0; c < grid.num_cells(); ++c) {
-      const auto atoms_c = grid.cell_atoms(c);
-      for (int ncell : grid.half_stencil(c)) {
-        const auto atoms_n = grid.cell_atoms(ncell);
-        for (int a : atoms_c) {
-          for (int b : atoms_n) {
-            if (ncell == c && b <= a) continue;
-            if (box.distance2(pos[static_cast<size_t>(a)],
-                              pos[static_cast<size_t>(b)]) < rc2) {
-              count_pair(std::min(a, b), std::max(a, b));
-            }
-          }
-        }
-      }
-    }
-  }
-
-  // Canonical offset table (union across nodes) + per-node tiles.
-  std::map<int64_t, int> offset_index;
+  // Canonical offset table (first use, nodes ascending) + per-node tiles.
+  std::vector<int> offset_index(static_cast<size_t>(K), -1);
   for (int v = 0; v < P; ++v) {
-    for (const auto& [key, tc] : tile_pairs[static_cast<size_t>(v)]) {
-      if (!offset_index.count(key)) {
-        const int idx = static_cast<int>(w.tile_offsets_.size());
-        offset_index[key] = idx;
-        const int dx = static_cast<int>((key >> 14) & 0x7F) - 64;
-        const int dy = static_cast<int>((key >> 7) & 0x7F) - 64;
-        const int dz = static_cast<int>(key & 0x7F) - 64;
-        w.tile_offsets_.push_back({dx, dy, dz});
+    NodeWork& nd = w.nodes_[static_cast<size_t>(v)];
+    nd.internal_pairs = internal[static_cast<size_t>(v)];
+    for (int k = 0; k < K; ++k) {
+      const TileCount& tc = tiles[static_cast<size_t>(v) * K + k];
+      if (tc.pairs == 0) continue;
+      int& idx = offset_index[static_cast<size_t>(k)];
+      if (idx < 0) {
+        idx = static_cast<int>(w.tile_offsets_.size());
+        w.tile_offsets_.push_back(index.offset(k));
       }
-      w.nodes_[static_cast<size_t>(v)].tiles.push_back(
-          {offset_index[key], tc.pairs, tc.remote_atoms});
+      nd.tiles.push_back({idx, tc.pairs, tc.remote_atoms});
     }
   }
 
   // Position multicast destinations: node u needs v's positions when u owns
-  // a tile whose offset points from u to v, i.e. v = u + offset.
-  std::vector<std::set<int>> dests(static_cast<size_t>(P));
+  // a tile whose offset points from u to v, i.e. v = u + offset.  Visiting
+  // u in ascending order keeps every list sorted.
   for (int u = 0; u < P; ++u) {
     for (const auto& t : w.nodes_[static_cast<size_t>(u)].tiles) {
       const NodeOffset& off =
           w.tile_offsets_[static_cast<size_t>(t.offset_index)];
       const int v = dd.neighbor_rank(u, off);
-      if (v != u) dests[static_cast<size_t>(v)].insert(u);
+      auto& dests = w.nodes_[static_cast<size_t>(v)].pos_destinations;
+      if (v != u && (dests.empty() || dests.back() != u)) dests.push_back(u);
     }
-  }
-  for (int v = 0; v < P; ++v) {
-    auto& nd = w.nodes_[static_cast<size_t>(v)];
-    nd.pos_destinations.assign(dests[static_cast<size_t>(v)].begin(),
-                               dests[static_cast<size_t>(v)].end());
   }
 
   // --- bonded terms (owner = node of first atom) --------------------------

@@ -5,11 +5,12 @@
 // timing model: pairwise-interaction counts load the HTIS, bonded/mesh/
 // integration counts load the geometry cores, and per-neighbour atom counts
 // size the NoC messages.  Pair counting is exact (from the actual atom
-// positions), using the same half-shell tile assignment the machine uses.
+// positions), using the same half-shell tile assignment the machine uses;
+// the pairs come from core::PairPass (pair_pass.h).
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "arch/config.h"
@@ -32,8 +33,13 @@ struct BondedCounts {
 struct Tile {
   int offset_index;
   int64_t pairs;
-  // Distinct remote atoms touched by this tile — sizes the force-return
-  // message back to the neighbour.
+  // Sizes the force-return message back to the neighbour.  It is NOT the
+  // number of distinct remote atoms: walking the pairs in the PairPass
+  // order, a remote atom is counted again every time the tile that last
+  // touched it changes, so this is the number of such runs.  It lies
+  // between the distinct count and `pairs`; at DHFR/512 it sums to about
+  // 5.5x the distinct count.  It depends on the pair order, which is why
+  // the pair pass fixes that order.
   int64_t remote_atoms;
 };
 

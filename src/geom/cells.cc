@@ -51,25 +51,6 @@ std::vector<int> CellGrid::stencil(int cell) const {
   return out;
 }
 
-std::vector<int> CellGrid::half_stencil(int cell) const {
-  // Standard half-shell: (dz > 0) || (dz == 0 && dy > 0) ||
-  // (dz == 0 && dy == 0 && dx >= 0).
-  std::vector<int> out;
-  out.reserve(14);
-  for (int dz = -1; dz <= 1; ++dz) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const bool keep =
-            dz > 0 || (dz == 0 && dy > 0) || (dz == 0 && dy == 0 && dx >= 0);
-        if (!keep) continue;
-        const int c = neighbor(cell, dx, dy, dz);
-        if (std::find(out.begin(), out.end(), c) == out.end()) out.push_back(c);
-      }
-    }
-  }
-  return out;
-}
-
 int CellGrid::half_stencil_shifts(int cell, int* cells, Vec3* shifts) const {
   int cx, cy, cz;
   coords(cell, &cx, &cy, &cz);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "chem/builder.h"
 #include "core/decomposition_study.h"
 
@@ -80,6 +83,80 @@ TEST(DecompositionStudy, ImportBytesScaleWithPositionSize) {
   const auto b =
       analyze_decomposition(sys, cfg, DecompositionScheme::kHalfShell);
   EXPECT_NEAR(b.total_import_bytes, 2.0 * a.total_import_bytes, 1e-6);
+}
+
+// FNV-1a over 64-bit words; doubles enter as their raw IEEE bits.
+class Digest {
+ public:
+  void add(uint64_t u) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (u >> (8 * b)) & 0xFF;
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  void add_bits(double v) {
+    uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    add(u);
+  }
+  void add(const RunningStat& s) {
+    add(s.count());
+    add_bits(s.mean());
+    add_bits(s.variance());
+    add_bits(s.sum());
+    add_bits(s.min());
+    add_bits(s.max());
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+uint64_t stats_digest(const ImportStats& s) {
+  Digest d;
+  d.add(static_cast<uint64_t>(s.scheme));
+  d.add(static_cast<uint64_t>(s.nodes));
+  d.add(static_cast<uint64_t>(s.total_pairs));
+  d.add(s.imported_atoms);
+  d.add(s.exported_copies);
+  d.add_bits(s.total_import_bytes);
+  return d.value();
+}
+
+TEST(DecompositionStudy, GoldenDigest) {
+  // Pins both schemes' statistics bit for bit on the cell walk and on the
+  // all-pairs fallback (the last case: under 3 cells per axis).
+  BuilderOptions o;
+  o.total_atoms = 3000;
+  o.seed = 47;
+  o.temperature_k = -1;
+  const System solvated = build_solvated_system(o);
+  const System dhfr = build_benchmark_system(dhfr_spec(), 2014);
+  struct Case {
+    const System* sys;
+    int n;
+    double rc;
+    uint64_t half_shell, neutral_territory;
+  };
+  const Case cases[] = {
+      {&solvated, 2, 9.0, 0x624DA27574C1988FULL, 0x5FDEA774AB87732AULL},
+      {&solvated, 3, 9.0, 0x40921C891FBC60AEULL, 0x1B406DC8DC4781FAULL},
+      {&dhfr, 4, 9.0, 0x8CE1E8F60AF53C08ULL, 0x47472B9E3E136D3CULL},
+      {&dhfr, 8, 9.0, 0x332C274EFF47B079ULL, 0x655FCE09E7379E61ULL},
+      {&solvated, 3, 12.0, 0x26941F625E2CC4F0ULL, 0xB077B79DF891A367ULL},
+  };
+  for (const Case& c : cases) {
+    const auto cfg = machine(c.n, c.rc);
+    EXPECT_EQ(stats_digest(analyze_decomposition(
+                  *c.sys, cfg, DecompositionScheme::kHalfShell)),
+              c.half_shell)
+        << c.sys->num_atoms() << " atoms on " << c.n << "^3, rc " << c.rc;
+    EXPECT_EQ(stats_digest(analyze_decomposition(
+                  *c.sys, cfg, DecompositionScheme::kNeutralTerritory)),
+              c.neutral_territory)
+        << c.sys->num_atoms() << " atoms on " << c.n << "^3, rc " << c.rc;
+  }
 }
 
 }  // namespace

@@ -107,8 +107,9 @@ TEST(CellGrid, StencilUnique) {
   CellGrid grid(box, 5.0);  // 8x8x8 cells
   const auto s = grid.stencil(grid.index(3, 3, 3));
   EXPECT_EQ(s.size(), 27u);
-  const auto h = grid.half_stencil(grid.index(3, 3, 3));
-  EXPECT_EQ(h.size(), 14u);
+  int cells[14];
+  Vec3 shifts[14];
+  EXPECT_EQ(grid.half_stencil_shifts(grid.index(3, 3, 3), cells, shifts), 14);
 }
 
 TEST(CellGrid, HalfStencilCoversAllPairsOnce) {
@@ -117,9 +118,12 @@ TEST(CellGrid, HalfStencilCoversAllPairsOnce) {
   const Box box({20, 20, 20});
   CellGrid grid(box, 5.0);  // 4x4x4
   std::multiset<std::pair<int, int>> covered;
+  int cells[14];
+  Vec3 shifts[14];
   for (int c = 0; c < grid.num_cells(); ++c) {
-    for (int n : grid.half_stencil(c)) {
-      covered.insert({std::min(c, n), std::max(c, n)});
+    const int k = grid.half_stencil_shifts(c, cells, shifts);
+    for (int e = 0; e < k; ++e) {
+      covered.insert({std::min(c, cells[e]), std::max(c, cells[e])});
     }
   }
   // Each adjacent distinct cell pair appears exactly once.

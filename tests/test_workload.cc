@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
 #include <numeric>
+#include <set>
+#include <tuple>
 
 #include "chem/builder.h"
 #include "core/machine.h"
@@ -26,25 +31,50 @@ TEST(Workload, AtomCountsPartition) {
   EXPECT_EQ(w.total_atoms(), sys.num_atoms());
 }
 
-TEST(Workload, PairCountMatchesNeighborListWithoutExclusions) {
-  // The workload counts *all* pairs within the cutoff (exclusions are a
-  // force-field nicety the HTIS match units handle inline); compare against
-  // a brute-force count.
-  const System sys = build_water_box(343, 42, -1);
-  const auto cfg = tiny_machine(2, 2, 2, 6.0);
-  const Workload w = Workload::build(sys, cfg);
-
-  int64_t brute = 0;
+int64_t brute_force_pairs(const System& sys, double rc) {
+  int64_t n = 0;
   const auto pos = sys.positions();
   for (int i = 0; i < sys.num_atoms(); ++i) {
     for (int j = i + 1; j < sys.num_atoms(); ++j) {
       if (sys.box().distance2(pos[static_cast<size_t>(i)],
-                              pos[static_cast<size_t>(j)]) < 36.0) {
-        ++brute;
+                              pos[static_cast<size_t>(j)]) < rc * rc) {
+        ++n;
       }
     }
   }
-  EXPECT_EQ(w.total_pairs(), brute);
+  return n;
+}
+
+// A copy of `sys` with every atom moved by +-1 box length per axis, in a
+// pattern that varies with the atom index: the same configuration, given
+// unwrapped, as md::Simulation hands it to AntonMachine::run().
+System unwrapped_copy(const System& sys) {
+  System out = sys;
+  const Vec3& l = sys.box().lengths();
+  auto pos = out.positions();
+  for (size_t i = 0; i < pos.size(); ++i) {
+    pos[i].x += (i % 2 == 0 ? 1.0 : -1.0) * l.x;
+    pos[i].y += (i % 3 == 0 ? -1.0 : 1.0) * l.y;
+    pos[i].z += (i % 5 < 2 ? 1.0 : -1.0) * l.z;
+  }
+  return out;
+}
+
+TEST(Workload, PairCountMatchesNeighborListWithoutExclusions) {
+  // The workload counts *all* pairs within the cutoff (exclusions are a
+  // force-field nicety the HTIS match units handle inline); compare against
+  // a brute-force count, on wrapped and on unwrapped positions, with a cell
+  // grid of at least 3 cells per axis (rc 6: the cell walk) and one under
+  // it (rc 9: the all-pairs fallback).
+  const System sys = build_water_box(343, 42, -1);
+  const System unwrapped = unwrapped_copy(sys);
+  for (double rc : {6.0, 9.0}) {
+    const auto cfg = tiny_machine(2, 2, 2, rc);
+    EXPECT_EQ(Workload::build(sys, cfg).total_pairs(),
+              brute_force_pairs(sys, rc)) << "rc " << rc;
+    EXPECT_EQ(Workload::build(unwrapped, cfg).total_pairs(),
+              brute_force_pairs(unwrapped, rc)) << "unwrapped, rc " << rc;
+  }
 }
 
 TEST(Workload, EveryPairCountedExactlyOnce) {
@@ -61,14 +91,17 @@ TEST(Workload, EveryPairCountedExactlyOnce) {
   EXPECT_TRUE(w1.node(0).tiles.empty());
 }
 
+bool positive_half(const NodeOffset& off) {
+  return off.dz > 0 || (off.dz == 0 && off.dy > 0) ||
+         (off.dz == 0 && off.dy == 0 && off.dx > 0);
+}
+
 TEST(Workload, TileOffsetsInPositiveHalfSpace) {
   const System sys = build_water_box(729, 44, -1);
   const auto w = Workload::build(sys, tiny_machine(3, 3, 3, 6.0));
   for (const auto& off : w.tile_offsets()) {
-    const bool positive =
-        off.dz > 0 || (off.dz == 0 && off.dy > 0) ||
-        (off.dz == 0 && off.dy == 0 && off.dx > 0);
-    EXPECT_TRUE(positive) << off.dx << "," << off.dy << "," << off.dz;
+    EXPECT_TRUE(positive_half(off))
+        << off.dx << "," << off.dy << "," << off.dz;
   }
 }
 
@@ -84,12 +117,10 @@ TEST(Workload, RemoteAtomsBoundedByPairsAndNodeSize) {
   }
 }
 
-TEST(Workload, PositionDestinationsMatchTiles) {
-  const System sys = build_water_box(729, 46, -1);
-  const auto w = Workload::build(sys, tiny_machine(3, 3, 3, 6.0));
+// If u owns a tile with offset d, then node u+d must list u as a
+// destination.
+void expect_destinations_match_tiles(const Workload& w) {
   const auto& dd = w.decomp();
-  // If u owns a tile with offset d, then node u+d must list u as a
-  // destination.
   for (int u = 0; u < w.num_nodes(); ++u) {
     for (const auto& t : w.node(u).tiles) {
       const auto& off = w.tile_offsets()[static_cast<size_t>(t.offset_index)];
@@ -99,6 +130,94 @@ TEST(Workload, PositionDestinationsMatchTiles) {
           << "node " << v << " does not export to " << u;
     }
   }
+}
+
+TEST(Workload, PositionDestinationsMatchTiles) {
+  const System sys = build_water_box(729, 46, -1);
+  expect_destinations_match_tiles(
+      Workload::build(sys, tiny_machine(3, 3, 3, 6.0)));
+}
+
+TEST(Workload, LongTorusOffsetsStayPositiveHalf) {
+  // 256 nodes along z with a 12 A cutoff: tiles reach up to 124 home boxes
+  // away, beyond any small fixed-width offset encoding.
+  const System sys = build_water_box(512, 46, -1);
+  const auto w = Workload::build(sys, tiny_machine(1, 1, 256, 12.0));
+  int max_dz = 0;
+  for (const auto& off : w.tile_offsets()) {
+    EXPECT_TRUE(positive_half(off))
+        << off.dx << "," << off.dy << "," << off.dz;
+    max_dz = std::max(max_dz, off.dz);
+  }
+  EXPECT_GT(max_dz, 64);
+  expect_destinations_match_tiles(w);
+  EXPECT_EQ(w.total_pairs(),
+            Workload::build(sys, tiny_machine(1, 1, 1, 12.0)).total_pairs());
+}
+
+// Periodic node-grid delta from a to b, wrapped into (-n/2, n/2].
+int wrapped_delta(int a, int b, int n) {
+  int d = (b - a) % n;
+  if (d > n / 2) d -= n;
+  if (d < -(n - 1) / 2) d += n;
+  return d;
+}
+
+TEST(Workload, RemoteAtomsAtLeastDistinct) {
+  // remote_atoms counts an atom again whenever the tile that last touched
+  // it changes (see Tile::remote_atoms), so it can exceed the distinct
+  // remote atoms of a tile, but never fall below them, and never exceed
+  // the tile's pairs.  The distinct sets come from a brute-force pass with
+  // the same half-shell assignment.
+  const System sys = build_water_box(729, 45, -1);
+  const double rc = 6.0;
+  const auto w = Workload::build(sys, tiny_machine(3, 3, 3, rc));
+  const auto& dd = w.decomp();
+  const auto pos = sys.positions();
+  std::vector<int> owner(pos.size());
+  for (size_t i = 0; i < pos.size(); ++i) owner[i] = dd.node_of(pos[i]);
+  // (owner node, dx, dy, dz) -> distinct remote atoms.
+  std::map<std::tuple<int, int, int, int>, std::set<int>> distinct;
+  for (int i = 0; i < sys.num_atoms(); ++i) {
+    for (int j = i + 1; j < sys.num_atoms(); ++j) {
+      if (sys.box().distance2(pos[static_cast<size_t>(i)],
+                              pos[static_cast<size_t>(j)]) >= rc * rc) {
+        continue;
+      }
+      const int a = owner[static_cast<size_t>(i)];
+      const int b = owner[static_cast<size_t>(j)];
+      if (a == b) continue;
+      int ax, ay, az, bx, by, bz;
+      dd.coords(a, &ax, &ay, &az);
+      dd.coords(b, &bx, &by, &bz);
+      NodeOffset off{wrapped_delta(ax, bx, dd.nx()),
+                     wrapped_delta(ay, by, dd.ny()),
+                     wrapped_delta(az, bz, dd.nz())};
+      if (positive_half(off)) {
+        distinct[{a, off.dx, off.dy, off.dz}].insert(j);
+      } else {
+        distinct[{b, -off.dx, -off.dy, -off.dz}].insert(i);
+      }
+    }
+  }
+  size_t tiles = 0;
+  int64_t over_counted = 0;
+  for (int v = 0; v < w.num_nodes(); ++v) {
+    for (const auto& t : w.node(v).tiles) {
+      const auto& off = w.tile_offsets()[static_cast<size_t>(t.offset_index)];
+      const auto it = distinct.find({v, off.dx, off.dy, off.dz});
+      ASSERT_NE(it, distinct.end()) << "node " << v << " tile "
+                                    << t.offset_index << " has no pairs";
+      const auto exact = static_cast<int64_t>(it->second.size());
+      EXPECT_LE(exact, t.remote_atoms);
+      EXPECT_LE(t.remote_atoms, t.pairs);
+      if (t.remote_atoms > exact) ++over_counted;
+      ++tiles;
+    }
+  }
+  EXPECT_EQ(tiles, distinct.size());
+  // The run count is not the distinct count on this system.
+  EXPECT_GT(over_counted, 0);
 }
 
 TEST(Workload, BondedTermsPartition) {
@@ -153,6 +272,100 @@ TEST(Workload, LoadBalanceReasonableForUniformSystem) {
   const auto w = Workload::build(sys, tiny_machine(4, 4, 4, 6.0));
   const double mean = w.mean_atoms_per_node();
   EXPECT_LT(w.max_atoms_per_node(), 1.6 * mean);
+}
+
+// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void add(int64_t v) {
+    uint64_t u = static_cast<uint64_t>(v);
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (u >> (8 * b)) & 0xFF;
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  void add_bits(double v) {
+    int64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    add(u);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+void add_bonded(Digest& d, const BondedCounts& b) {
+  d.add(b.bonds);
+  d.add(b.angles);
+  d.add(b.dihedrals);
+  d.add(b.pairs14);
+}
+
+// Every field Workload::build produces, in order.
+uint64_t workload_digest(const Workload& w) {
+  Digest d;
+  d.add(static_cast<int64_t>(w.tile_offsets().size()));
+  for (const auto& off : w.tile_offsets()) {
+    d.add(off.dx);
+    d.add(off.dy);
+    d.add(off.dz);
+  }
+  d.add(w.num_nodes());
+  for (int v = 0; v < w.num_nodes(); ++v) {
+    const NodeWork& n = w.node(v);
+    d.add(n.atoms);
+    d.add(n.internal_pairs);
+    d.add(static_cast<int64_t>(n.tiles.size()));
+    for (const auto& t : n.tiles) {
+      d.add(t.offset_index);
+      d.add(t.pairs);
+      d.add(t.remote_atoms);
+    }
+    d.add(static_cast<int64_t>(n.pos_destinations.size()));
+    for (int r : n.pos_destinations) d.add(r);
+    add_bonded(d, n.bonded_local);
+    add_bonded(d, n.bonded_boundary);
+    d.add(n.constraints);
+  }
+  return d.value();
+}
+
+TEST(Workload, GoldenDigest) {
+  // Pins every NodeWork field and the tile-offset table bit for bit, so a
+  // change to the pair pass must reproduce the order-dependent outputs
+  // (tile order, remote_atoms) exactly.  The rc 12 cases' grid has under 3
+  // cells per axis and runs the all-pairs fallback; the last two give the
+  // positions unwrapped, as AntonMachine::run() does, and must map exactly
+  // as the wrapped ones.
+  BuilderOptions o;
+  o.total_atoms = 3000;
+  o.seed = 47;
+  o.temperature_k = -1;
+  const System solvated = build_solvated_system(o);
+  const System dhfr = build_benchmark_system(dhfr_spec(), 2014);
+  const System unwrapped = unwrapped_copy(solvated);
+  struct Case {
+    const System* sys;
+    int n;
+    double rc;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {&solvated, 2, 9.0, 0x32C7687078E563CDULL},
+      {&solvated, 3, 9.0, 0x95E972BCE57DCACCULL},
+      {&dhfr, 4, 9.0, 0x649892FB692B6059ULL},
+      {&dhfr, 8, 9.0, 0x7A68E498BAC2F2FBULL},
+      {&solvated, 3, 12.0, 0x9B223FF76DB45322ULL},
+      {&unwrapped, 3, 9.0, 0x95E972BCE57DCACCULL},
+      {&unwrapped, 3, 12.0, 0x9B223FF76DB45322ULL},
+  };
+  for (const Case& c : cases) {
+    const Workload w =
+        Workload::build(*c.sys, tiny_machine(c.n, c.n, c.n, c.rc));
+    EXPECT_EQ(workload_digest(w), c.digest)
+        << c.sys->num_atoms() << " atoms on " << c.n << "^3, rc " << c.rc;
+  }
 }
 
 TEST(TorusDims, NearCubicFactorisation) {
