@@ -80,16 +80,4 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   return fallback;
 }
 
-SvcFlags SvcFlags::from_config(const Config& config) {
-  SvcFlags f;
-  f.threads = static_cast<int>(config.get_int("svc-threads", f.threads));
-  f.cache_mb = static_cast<int>(config.get_int("svc-cache-mb", f.cache_mb));
-  f.queue_depth =
-      static_cast<int>(config.get_int("svc-queue-depth", f.queue_depth));
-  ANTON_CHECK_MSG(f.threads >= 0, "--svc-threads must be >= 0");
-  ANTON_CHECK_MSG(f.cache_mb > 0, "--svc-cache-mb must be > 0");
-  ANTON_CHECK_MSG(f.queue_depth > 0, "--svc-queue-depth must be > 0");
-  return f;
-}
-
 }  // namespace anton

@@ -38,25 +38,4 @@ class Config {
   std::map<std::string, std::string> values_;
 };
 
-// Estimator-service knobs, parsed from the standard GNU-style flags:
-//
-//   --svc-threads N       worker threads (0 = hardware concurrency; the
-//                         value sizes the ThreadPool handed to the service)
-//   --svc-cache-mb N      result-cache budget in MiB
-//   --svc-queue-depth N   max queued jobs before load-shedding kicks in
-//
-// Defaults match the struct initializers below; every service frontend
-// (examples/sweep_service, bench_f9_service) parses these the same way so
-// deployment scripts can share one flag vocabulary.
-struct SvcFlags {
-  int threads = 0;          // --svc-threads (0 = all cores)
-  int cache_mb = 64;        // --svc-cache-mb
-  int queue_depth = 256;    // --svc-queue-depth
-
-  static SvcFlags from_config(const Config& config);
-  size_t cache_bytes() const {
-    return static_cast<size_t>(cache_mb) * 1024 * 1024;
-  }
-};
-
 }  // namespace anton

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -78,14 +79,34 @@ void AntonMachine::validate(const arch::MachineConfig& c) {
   for (const auto& [field, value] : costs) {
     ANTON_CHECK_MSG(value >= 0, field << " must be >= 0, got " << value);
   }
+  // A zero or NaN cutoff would fail deep inside the cell grid and a
+  // negative mesh spacing would still yield a mesh; a negative count would
+  // size a task or the spreading stencil below zero.
+  const std::pair<const char*, double> lengths[] = {
+      {"machine_cutoff", c.machine_cutoff},
+      {"mesh_spacing", c.mesh_spacing},
+  };
+  for (const auto& [field, value] : lengths) {
+    ANTON_CHECK_MSG(value > 0 && std::isfinite(value),
+                    field << " must be positive and finite, got " << value);
+  }
+  const std::pair<const char*, int> counts[] = {
+      {"constraint_iterations", c.constraint_iterations},
+      {"spread_support_cells", c.spread_support_cells},
+  };
+  for (const auto& [field, value] : counts) {
+    ANTON_CHECK_MSG(value >= 0, field << " must be >= 0, got " << value);
+  }
 }
 
 PerfReport AntonMachine::estimate(const System& system, double dt_fs,
                                   int respa_k) const {
+  ANTON_CHECK_MSG(dt_fs > 0 && std::isfinite(dt_fs),
+                  "dt_fs must be positive and finite, got " << dt_fs);
   ANTON_CHECK(respa_k >= 1);
-  const Workload w = Workload::build(system, *config_);
+  const Workload w = Workload::build(system, config_);
   PerfReport r;
-  r.machine = config_->name;
+  r.machine = config_.name;
   r.nodes = nodes();
   r.atoms = system.num_atoms();
   r.dt_fs = dt_fs;
@@ -93,9 +114,9 @@ PerfReport AntonMachine::estimate(const System& system, double dt_fs,
 
   obs::MetricsRegistry reg;
   std::unique_ptr<obs::TraceWriter> trace =
-      obs::TraceWriter::open(config_->trace_path);
+      obs::TraceWriter::open(config_.trace_path);
   name_trace_tracks(trace.get());
-  const bool telemetered = trace != nullptr || !config_->metrics_path.empty();
+  const bool telemetered = trace != nullptr || !config_.metrics_path.empty();
 
   StepOptions full{.include_long_range = true};
   StepOptions part{.include_long_range = false};
@@ -103,12 +124,12 @@ PerfReport AntonMachine::estimate(const System& system, double dt_fs,
     full.metrics = part.metrics = &reg;
     full.trace = part.trace = trace.get();
   }
-  r.full_step = simulate_step(w, *config_, full);
+  r.full_step = simulate_step(w, config_, full);
   // Lay the short step after the full one on the trace timeline.
   part.trace_ts_offset_us = r.full_step.step_ns * 1e-3;
-  r.short_step = simulate_step(w, *config_, part);
+  r.short_step = simulate_step(w, config_, part);
 
-  if (!config_->metrics_path.empty()) reg.save_json(config_->metrics_path);
+  if (!config_.metrics_path.empty()) reg.save_json(config_.metrics_path);
   return r;
 }
 
@@ -118,7 +139,7 @@ PerfReport AntonMachine::run(System& system, const MdParams& md_params,
   md::Simulation sim(system, md_params);
 
   PerfReport r;
-  r.machine = config_->name;
+  r.machine = config_.name;
   r.nodes = nodes();
   r.atoms = system.num_atoms();
   r.dt_fs = md_params.dt_fs;
@@ -129,9 +150,9 @@ PerfReport AntonMachine::run(System& system, const MdParams& md_params,
   // (sim-time spans), so a single Perfetto load shows both clock domains.
   obs::MetricsRegistry reg;
   std::unique_ptr<obs::TraceWriter> trace =
-      obs::TraceWriter::open(config_->trace_path);
+      obs::TraceWriter::open(config_.trace_path);
   name_trace_tracks(trace.get());
-  const bool telemetered = trace != nullptr || !config_->metrics_path.empty();
+  const bool telemetered = trace != nullptr || !config_.metrics_path.empty();
   if (telemetered) sim.use_telemetry(&reg, trace.get());
 
   double full_ns = 0, short_ns = 0;
@@ -143,17 +164,17 @@ PerfReport AntonMachine::run(System& system, const MdParams& md_params,
   std::unique_ptr<TimestepRunner> full_runner, short_runner;
   for (int s = 0; s < steps; ++s) {
     if (s % workload_refresh == 0) {
-      const Workload w = Workload::build(sim.system(), *config_);
+      const Workload w = Workload::build(sim.system(), config_);
       StepOptions full_opts{.include_long_range = true};
       StepOptions short_opts{.include_long_range = false};
       if (telemetered) {
         full_opts.metrics = short_opts.metrics = &reg;
         full_opts.trace = short_opts.trace = trace.get();
       }
-      full_runner = std::make_unique<TimestepRunner>(w, *config_, full_opts);
+      full_runner = std::make_unique<TimestepRunner>(w, config_, full_opts);
       short_runner =
           md_params.respa_k > 1
-              ? std::make_unique<TimestepRunner>(w, *config_, short_opts)
+              ? std::make_unique<TimestepRunner>(w, config_, short_opts)
               : nullptr;
     }
     const bool full = (s % md_params.respa_k == 0);
@@ -184,7 +205,7 @@ PerfReport AntonMachine::run(System& system, const MdParams& md_params,
   // Copy the evolved state back out.
   system = sim.system();
   if (telemetered) sim.use_telemetry(nullptr, nullptr);
-  if (!config_->metrics_path.empty()) reg.save_json(config_->metrics_path);
+  if (!config_.metrics_path.empty()) reg.save_json(config_.metrics_path);
   return r;
 }
 

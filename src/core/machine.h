@@ -8,12 +8,11 @@
 //     *and* the machine-clock performance for it.
 #pragma once
 
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "arch/config.h"
 #include "chem/system.h"
-#include "common/error.h"
 #include "core/timestep.h"
 #include "core/workload.h"
 #include "md/params.h"
@@ -44,42 +43,26 @@ struct PerfReport {
 // Picks a near-cubic torus (nx, ny, nz) with nx*ny*nz == nodes.
 void torus_dims(int nodes, int* nx, int* ny, int* nz);
 
-// The calibrated machine model as an immutable shared object.  A
-// MachineConfig, once handed to an AntonMachine, is never mutated again:
-// the machine stores it behind a shared_ptr-to-const, so any number of
-// threads (the SweepRunner shards, the svc:: estimator workers) can hold
-// the same calibrated model and call estimate() concurrently without
-// copies or synchronization.  estimate() itself is const and builds every
-// piece of mutable state (workload, task graph, event queue, torus,
-// metrics scope) per call on the calling thread's stack.
+// The calibrated machine model.  An AntonMachine owns its MachineConfig,
+// validated at construction and never mutated afterwards.  estimate()
+// and run() are const and build every piece of mutable state (workload,
+// task graph, event queue, torus, metrics scope) per call on the calling
+// thread's stack, so any number of threads can call estimate() on one
+// machine concurrently without synchronization.
 class AntonMachine {
  public:
-  // Both constructors reject a config the model cannot time (see
-  // validate()) with anton::Error.
+  // Rejects a config the model cannot time (see validate()) with
+  // anton::Error.
   explicit AntonMachine(arch::MachineConfig config)
-      : config_(std::make_shared<const arch::MachineConfig>(
-            std::move(config))) {
-    validate(*config_);
-  }
-
-  // Shares an existing immutable config instead of copying it — the
-  // estimator service constructs one AntonMachine per job and this keeps
-  // the per-job cost at one refcount bump, not a config deep copy.
-  explicit AntonMachine(std::shared_ptr<const arch::MachineConfig> config)
       : config_(std::move(config)) {
-    ANTON_CHECK(config_ != nullptr);
-    validate(*config_);
+    validate(config_);
   }
 
-  const arch::MachineConfig& config() const { return *config_; }
-  // The shared immutable model, for callers that fan the same calibrated
-  // config out to many evaluators.
-  std::shared_ptr<const arch::MachineConfig> config_ptr() const {
-    return config_;
-  }
-  int nodes() const { return config_->noc.num_nodes(); }
+  const arch::MachineConfig& config() const { return config_; }
+  int nodes() const { return config_.noc.num_nodes(); }
 
-  // Timing-only estimate for the system's current configuration.
+  // Timing-only estimate for the system's current configuration.  dt_fs
+  // must be positive and finite and respa_k >= 1.
   PerfReport estimate(const System& system, double dt_fs = 2.5,
                       int respa_k = 2) const;
 
@@ -90,12 +73,14 @@ class AntonMachine {
                  int workload_refresh = 20) const;
 
  private:
-  // HTIS and GC rates must be positive and finite; task overheads and sync
-  // costs must be >= 0.  Each failure names the offending field.  The
-  // torus parameters are checked by the noc::Torus constructor.
+  // HTIS and GC rates, the cutoff and the mesh spacing must be positive
+  // and finite; task overheads, sync costs, the constraint iteration count
+  // and the spreading support must be >= 0.  Each failure names the
+  // offending field.  The torus parameters are checked by the noc::Torus
+  // constructor, the cutoff against the box by Workload::build.
   static void validate(const arch::MachineConfig& config);
 
-  std::shared_ptr<const arch::MachineConfig> config_;
+  arch::MachineConfig config_;
 };
 
 }  // namespace anton::core

@@ -181,8 +181,10 @@ TEST(Machine, DegenerateConfigRejected) {
   struct Case {
     const char* field;
     void (*mutate)(Config&);
+    double dt_fs = 2.5;  // the one estimate() argument under test
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   const Case cases[] = {
       {"ppims_per_node", [](Config& c) { c.ppims_per_node = 0; }},
       {"ppim_clock_ghz", [](Config& c) { c.ppim_clock_ghz = kInf; }},
@@ -200,13 +202,23 @@ TEST(Machine, DegenerateConfigRejected) {
        [](Config& c) { c.noc.injection_overhead_ns = -5; }},
       {"noc.packet_overhead_bytes",
        [](Config& c) { c.noc.packet_overhead_bytes = -32; }},
+      {"machine_cutoff", [](Config& c) { c.machine_cutoff = 0; }},
+      {"machine_cutoff", [](Config& c) { c.machine_cutoff = kNaN; }},
+      {"mesh_spacing", [](Config& c) { c.mesh_spacing = -1; }},
+      {"spread_support_cells", [](Config& c) { c.spread_support_cells = -1; }},
+      {"constraint_iterations",
+       [](Config& c) { c.constraint_iterations = -1; }},
+      {"dt_fs", [](Config&) {}, 0.0},
+      {"dt_fs", [](Config&) {}, -2.5},
+      {"dt_fs", [](Config&) {}, kNaN},
+      {"dt_fs", [](Config&) {}, kInf},
   };
   for (const Case& k : cases) {
     Config cfg = Config::anton2(2, 2, 2);
     k.mutate(cfg);
     try {
       const AntonMachine m(cfg);
-      const PerfReport r = m.estimate(sys);
+      const PerfReport r = m.estimate(sys, k.dt_fs);
       ADD_FAILURE() << k.field << " accepted: " << r.us_per_day()
                     << " us/day";
     } catch (const Error& e) {

@@ -429,7 +429,7 @@ TEST(MetricsRegistry, HistogramExportsP95InJsonAndCsv) {
 
 TEST(MetricsRegistry, HistogramExportsP99InJsonAndCsv) {
   obs::MetricsRegistry reg;
-  obs::Histo* h = reg.histogram("svc.latency_ms", 0, 100, 100);
+  obs::Histo* h = reg.histogram("query.latency_ms", 0, 100, 100);
   // Bimodal latency: dense fast mode, 1% slow tail — the shape p99 exists
   // to expose (p95 sits in the fast mode, p99 at its very edge).
   for (int i = 0; i < 990; ++i) h->add(2.5);
@@ -439,7 +439,7 @@ TEST(MetricsRegistry, HistogramExportsP99InJsonAndCsv) {
   std::ostringstream os;
   reg.write_csv(os);
   const std::string csv = os.str();
-  EXPECT_NE(csv.find("svc.latency_ms,p99,"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("query.latency_ms,p99,"), std::string::npos) << csv;
   const Histogram snap = h->snapshot();
   EXPECT_LT(snap.quantile(0.95), 4.0);
   EXPECT_DOUBLE_EQ(snap.quantile(0.99), 3.0);  // exact top of the fast bin

@@ -46,16 +46,13 @@ Rules
                    equivalent and a new ISA backend is a one-file change;
                    a stray intrinsic in a kernel silently breaks both.
   des-std-function No std::function in the discrete-event core (src/sim/,
-                   src/noc/) or the estimator service (src/svc/).  Events
-                   live in the queue's pooled inline-callable arena
-                   (sim::InlineFn); a std::function parameter or member
-                   re-introduces a heap allocation per event (any capture
-                   past its ~16-byte SSO) and defeats the zero-allocation
-                   steady state.  The service's per-query path has the same
-                   contract: requests dispatch through shared_ptr<Job> and
-                   the pool trampoline, never a per-query type-erased
-                   callable.  Take a deduced template parameter on the hot
-                   path, or store sim::InlineFn.
+                   src/noc/).  Events live in the queue's pooled
+                   inline-callable arena (sim::InlineFn); a std::function
+                   parameter or member re-introduces a heap allocation per
+                   event (any capture past its ~16-byte SSO) and defeats
+                   the zero-allocation steady state.  Take a deduced
+                   template parameter on the hot path, or store
+                   sim::InlineFn.
 
 Suppressions
 ------------
@@ -136,16 +133,9 @@ RAW_INTRINSICS_ALLOWED_FILES = ("src/common/simd.h",)
 DES_STD_FUNCTION = re.compile(r"\bstd\s*::\s*function\s*<")
 # The discrete-event core: every callable here rides the event queue's
 # pooled inline arena, so std::function is banned file-wide (not just in
-# annotated hot functions).  src/svc/ joins the list because the service's
-# per-query path (key hash, cache probe, coalesce check) must stay
-# allocation-free under concurrency — a std::function materialized per
-# query would heap-allocate on every request; job dispatch goes through
-# shared_ptr<Job> and the pool's (fn-pointer, ctx) trampoline instead.
-# The one sanctioned exception, the cold-path test-evaluator seam in
-# service.h, carries an explicit allow().  lint_fixtures is scanned so the
-# seeded violation keeps the rule honest.
-DES_NOFUNCTION_DIRS = ("src/sim/", "src/noc/", "src/svc/",
-                       "tools/lint_fixtures/")
+# annotated hot functions).  lint_fixtures is scanned so the seeded
+# violation keeps the rule honest.
+DES_NOFUNCTION_DIRS = ("src/sim/", "src/noc/", "tools/lint_fixtures/")
 
 ALLOW_RE = re.compile(r"//\s*anton-lint:\s*allow\(([^)]*)\)")
 SKIP_FILE_RE = re.compile(r"//\s*anton-lint:\s*skip-file")
