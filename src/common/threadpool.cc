@@ -2,6 +2,33 @@
 
 namespace anton {
 
+namespace {
+
+// The pools whose chunks this thread is running, innermost first.
+struct Running {
+  const ThreadPool* pool;
+  const Running* outer;
+};
+thread_local const Running* tl_running = nullptr;
+
+// Marks the calling thread as running a chunk of `pool` for its lifetime.
+class RunningChunk {
+ public:
+  explicit RunningChunk(const ThreadPool* pool) : self_{pool, tl_running} {
+    tl_running = &self_;
+  }
+  ~RunningChunk() { tl_running = self_.outer; }
+  RunningChunk(const RunningChunk&) = delete;
+  RunningChunk& operator=(const RunningChunk&) = delete;
+
+ private:
+  Running self_;
+};
+
+}  // namespace
+
+bool ThreadPool::in_dispatch() { return tl_running != nullptr; }
+
 ThreadPool::ThreadPool(unsigned n_threads) {
   if (n_threads == 0) {
     n_threads = std::max(1u, std::thread::hardware_concurrency());
@@ -36,7 +63,10 @@ void ThreadPool::worker_loop(unsigned index) {
       fn = fn_;
       ctx = ctx_;
     }
-    fn(ctx, index);
+    {
+      const RunningChunk running(this);
+      fn(ctx, index);
+    }
     // acq_rel: the release half publishes everything this chunk wrote to the
     // dispatcher's acquire load; the acquire half orders this thread against
     // the other workers' decrements.  The final decrementer must take mu_
@@ -51,7 +81,13 @@ void ThreadPool::worker_loop(unsigned index) {
 }
 
 void ThreadPool::dispatch(void (*fn)(void*, unsigned), void* ctx) {
+  for (const Running* r = tl_running; r != nullptr; r = r->outer) {
+    ANTON_CHECK_MSG(r->pool != this,
+                    "nested dispatch: this thread is running a chunk of the "
+                    "same ThreadPool, which would wait on itself");
+  }
   if (workers_.empty()) {
+    const RunningChunk running(this);
     fn(ctx, 0);
     return;
   }
@@ -65,7 +101,10 @@ void ThreadPool::dispatch(void (*fn)(void*, unsigned), void* ctx) {
     ++generation_;
   }
   cv_.notify_all();
-  fn(ctx, 0);
+  {
+    const RunningChunk running(this);
+    fn(ctx, 0);
+  }
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] {
     return remaining_.load(std::memory_order_acquire) == 0;

@@ -1,9 +1,10 @@
 // Minimal blocking thread pool with a parallel_for helper.
 //
-// The functional MD engine (the commodity baseline) uses this to exploit
-// host cores; the machine simulator itself is single-threaded and
-// deterministic.  Static chunking keeps the force decomposition reproducible
-// for a fixed thread count.
+// The functional MD engine (the commodity baseline) and the machine model's
+// pair pass (core::Workload::build) use this to exploit host cores; the
+// machine model's event-driven replay is single-threaded and deterministic.
+// Static chunking keeps the force decomposition reproducible for a fixed
+// thread count.
 //
 // Dispatch is allocation-free: work is handed to the workers as a plain
 // (function pointer, context pointer) pair — no std::function, no per-call
@@ -20,8 +21,10 @@
 //     observes remaining_ == 0.  The final decrementer takes mu_ before
 //     notifying so the wakeup cannot be lost.
 //   - Concurrent dispatchers are serialized by dispatch_mu_: parallel_for
-//     may be called from multiple threads, but nested dispatch from inside a
-//     worker chunk deadlocks by design (documented non-reentrancy).
+//     may be called from multiple threads.  A thread running a chunk of a
+//     pool (a worker, or the caller as index 0) that dispatches on that same
+//     pool again would wait on itself, so that dispatch raises anton::Error
+//     instead (see in_dispatch()).
 #pragma once
 
 #include <algorithm>
@@ -48,6 +51,13 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   unsigned size() const { return static_cast<unsigned>(workers_.size() + 1); }
+
+  // True while the calling thread runs a chunk that some pool dispatched,
+  // on a worker or on the caller as index 0 (a parallel_for that runs as
+  // one inline chunk is not a dispatch).  Code that could start its own
+  // pool checks this to stay serial when a pool already occupies the
+  // cores.
+  static bool in_dispatch();
 
   // Runs fn(begin, end) over [0, n) split into contiguous chunks, one per
   // thread (including the calling thread). Blocks until all chunks finish.
@@ -82,7 +92,10 @@ class ThreadPool {
  private:
   // Runs fn(ctx, t) on every thread index t in [0, size()); the calling
   // thread executes t == 0.  Safe to call concurrently from multiple
-  // threads (calls serialize); not reentrant (no nested dispatch).
+  // threads (calls serialize).  Raises anton::Error, before dispatching
+  // anything, when the calling thread is already running a chunk of this
+  // pool.  A chunk must not let an exception escape: catch it inside the
+  // chunk and hand it to the caller, as SweepRunner::map does.
   void dispatch(void (*fn)(void*, unsigned), void* ctx);
   void worker_loop(unsigned index);
 

@@ -39,6 +39,8 @@ ImportStats analyze_decomposition(const System& system,
   const double rc = config.machine_cutoff;
 
   const auto pos = system.positions();
+  // Rejects an empty system and non-finite positions before anything bins.
+  const PairPass pass(box, pos, rc);
   std::vector<int> owner(pos.size());
   for (size_t i = 0; i < pos.size(); ++i) owner[i] = dd.node_of(pos[i]);
 
@@ -46,7 +48,6 @@ ImportStats analyze_decomposition(const System& system,
   std::vector<std::unordered_set<int>> imports(static_cast<size_t>(P));
   int64_t total_pairs = 0;
 
-  const PairPass pass(box, pos, rc);
   pass.for_each([&](int s, int t) {
     const int i = pass.atom(s);
     const int j = pass.atom(t);

@@ -46,9 +46,12 @@ void torus_dims(int nodes, int* nx, int* ny, int* nz);
 // The calibrated machine model.  An AntonMachine owns its MachineConfig,
 // validated at construction and never mutated afterwards.  estimate()
 // and run() are const and build every piece of mutable state (workload,
-// task graph, event queue, torus, metrics scope) per call on the calling
-// thread's stack, so any number of threads can call estimate() on one
-// machine concurrently without synchronization.
+// task graph, event queue, torus, metrics scope) per call, so any number
+// of threads can call estimate() on one machine concurrently without
+// synchronization.  Each Workload::build spreads its pair pass over a
+// thread pool of its own, unless the caller is itself running a
+// ThreadPool chunk (a SweepRunner point), where it stays serial; the
+// event-driven replay runs on the calling thread.
 class AntonMachine {
  public:
   // Rejects a config the model cannot time (see validate()) with

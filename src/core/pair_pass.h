@@ -18,6 +18,9 @@
 //     association Box::min_image evaluates, 4 candidates per SIMD step.
 //   * Smaller grids: all pairs (i, j), i < j in atom order, filtered with
 //     Box::distance2 on the positions as given.
+//
+// The walk can be split into z-layers of home cells, so that threads walk
+// disjoint layer ranges; the full walk is their concatenation in layer order.
 #pragma once
 
 #include <algorithm>
@@ -36,8 +39,10 @@ namespace anton::core {
 class PairPass {
  public:
   // Bins `positions` (wrapped or unwrapped) for cutoff `rc`, which must not
-  // exceed box.max_cutoff().  The fallback reads `positions` in place, so
-  // they must outlive the pass.
+  // exceed box.max_cutoff().  Before any binning it rejects, with
+  // anton::Error, an empty system and a non-finite position (naming the
+  // atom).  The fallback reads `positions` in place, so they must outlive
+  // the pass.
   PairPass(const Box& box, std::span<const Vec3> positions, double rc);
 
   int num_atoms() const { return static_cast<int>(atoms_.size()); }
@@ -46,30 +51,63 @@ class PairPass {
   // per-atom data indexed by slot is read with good locality.
   int atom(int slot) const { return atoms_[static_cast<size_t>(slot)]; }
 
+  // Home cells are numbered z-major (CellGrid::index), so z-layer z is a
+  // contiguous run of cells and of slots: [layer_start(z),
+  // layer_start(z + 1)).  The all-pairs fallback is one layer.
+  int num_layers() const {
+    return static_cast<int>(cell_start_.size() - 1) / cells_per_layer_;
+  }
+  int layer_start(int z) const {
+    return cell_start_[static_cast<size_t>(z) * cells_per_layer_];
+  }
+
+  // Splits the layers into at most `parts` contiguous ranges of at least
+  // one layer each, balanced by atom count.  Returns the boundaries
+  // 0 = z_0 < z_1 < ... < z_m = num_layers().
+  std::vector<int> split(int parts) const;
+
+  // The slots for_each(z0, z1, f) can pass to f.  The half stencil reaches
+  // only the home layer and the next one, wrapping to layer 0, so these are
+  // the slots of layers z0 .. z1 (mod num_layers()): [begin, end) with
+  // slot numbers taken modulo num_atoms(), end - begin <= num_atoms().
+  struct Window {
+    int begin;
+    int end;
+  };
+  Window reach(int z0, int z1) const;
+
   // Calls f(s, t) on every pair of slots whose atoms lie within rc, with
   // atom(s) < atom(t), in the order described above.
   template <class F>
-  void for_each(F&& f) const;
+  void for_each(F&& f) const {
+    for_each(0, num_layers(), f);
+  }
+  // The same for the pairs whose home cell lies in layers [z0, z1), in the
+  // same order; consecutive ranges concatenate to the full walk.
+  template <class F>
+  void for_each(int z0, int z1, F&& f) const;
 
  private:
   Box box_;
   double rc2_;
   std::span<const Vec3> positions_;  // the fallback reads them as given
-  CellGrid grid_;
-  bool all_pairs_;           // under 3 cells along some axis
-  std::vector<int> atoms_;   // slot -> atom
+  CellGrid grid_;  // geometry for the stencil; never binned
+  bool all_pairs_;  // under 3 cells along some axis
+  int cells_per_layer_;  // nx * ny; 1 on the fallback
+  std::vector<int> cell_start_;  // cell -> first slot, plus num_atoms()
+  std::vector<int> atoms_;       // slot -> atom
   // Wrapped positions by slot, padded with kLanesD - 1 zeros so a full
   // SIMD load never reads past the end.
   std::vector<double> x_, y_, z_;
 };
 
 template <class F>
-void PairPass::for_each(F&& f) const {
+void PairPass::for_each(int z0, int z1, F&& f) const {
   using simd::VecD;
   constexpr int W = simd::kLanesD;
   if (all_pairs_) {
     const int n = num_atoms();
-    for (int i = 0; i < n; ++i) {
+    for (int i = layer_start(z0); i < layer_start(z1); ++i) {
       for (int j = i + 1; j < n; ++j) {
         if (box_.distance2(positions_[static_cast<size_t>(i)],
                            positions_[static_cast<size_t>(j)]) < rc2_) {
@@ -83,21 +121,22 @@ void PairPass::for_each(F&& f) const {
   const double* xs = x_.data();
   const double* ys = y_.data();
   const double* zs = z_.data();
+  const int* start = cell_start_.data();
   int cells[14];
   Vec3 shifts[14];
-  for (int c = 0; c < grid_.num_cells(); ++c) {
-    const int a_end = grid_.cell_start(c + 1);
-    if (grid_.cell_start(c) == a_end) continue;
+  for (int c = z0 * cells_per_layer_; c < z1 * cells_per_layer_; ++c) {
+    const int a_end = start[c + 1];
+    if (start[c] == a_end) continue;
     const int stencil = grid_.half_stencil_shifts(c, cells, shifts);
     for (int e = 0; e < stencil; ++e) {
       // Entry 0 is the cell itself: only later atoms pair with each one.
       const bool self = e == 0;
-      const int b_begin = grid_.cell_start(cells[e]);
-      const int b_end = grid_.cell_start(cells[e] + 1);
+      const int b_begin = start[cells[e]];
+      const int b_end = start[cells[e] + 1];
       const VecD sx = VecD::broadcast(shifts[e].x);
       const VecD sy = VecD::broadcast(shifts[e].y);
       const VecD sz = VecD::broadcast(shifts[e].z);
-      for (int s = grid_.cell_start(c); s < a_end; ++s) {
+      for (int s = start[c]; s < a_end; ++s) {
         const VecD ax = VecD::broadcast(xs[s]);
         const VecD ay = VecD::broadcast(ys[s]);
         const VecD az = VecD::broadcast(zs[s]);

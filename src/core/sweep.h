@@ -7,7 +7,9 @@
 // across the existing ThreadPool with a dynamic ticket counter (points have
 // wildly different costs — a 512-node estimate dwarfs an 8-node one, so
 // static chunking would idle most threads) and writes each result into its
-// fixed index slot.  Each point's simulation is single-threaded and
+// fixed index slot.  On the pool each point runs on one thread
+// (Workload::build sees ThreadPool::in_dispatch() and stays serial, so the
+// sweep does not oversubscribe the cores), and every point is
 // self-contained, so out[i] depends only on i: the merged output is
 // bitwise identical to a serial run at any thread count.
 #pragma once
@@ -39,11 +41,12 @@ class SweepRunner {
   explicit SweepRunner(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   // Evaluates out[i] = eval(i) for every i in [0, n).  eval must be safe to
-  // call concurrently for distinct i and must not dispatch on the pool
-  // itself (ThreadPool is non-reentrant).  Scheduling is dynamic (atomic
-  // ticket), but results land in index order, so output is independent of
-  // the schedule.  The first exception any point throws is rethrown on the
-  // caller after the sweep drains; remaining points still run.
+  // call concurrently for distinct i; a dispatch on the pool itself from
+  // inside eval raises anton::Error like any other failing point.
+  // Scheduling is dynamic (atomic ticket), but results land in index order,
+  // so output is independent of the schedule.  The first exception any
+  // point throws is rethrown on the caller after the sweep drains;
+  // remaining points still run.
   template <class R, class Fn>
   void map(size_t n, std::vector<R>& out, Fn&& eval) const {
     out.resize(n);

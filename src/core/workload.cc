@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
+#include <span>
 
 #include "common/error.h"
+#include "common/threadpool.h"
 #include "core/pair_pass.h"
 #include "fft/fft.h"
 
@@ -102,10 +105,161 @@ class TileIndex {
   std::vector<int> lookup_;  // code difference + center -> entry, or -1
 };
 
+// Tile (v, k) = node v's tile at offset k, numbered v * K + k.
+struct TileCount {
+  int64_t pairs = 0;
+  int64_t remote_atoms = 0;
+};
+
+// One range of home layers [z0, z1) of the pair walk, with counters of its
+// own.  remote_atoms grows whenever the tile that last counted a remote
+// atom changes (Tile::remote_atoms).  A range starts every atom unstamped,
+// so besides each atom's last tile it records, for the atoms an earlier
+// range also touches, the first tile that counted them; stitch() then
+// repairs the runs across the seam.
+struct RangeCount {
+  int z0 = 0, z1 = 0;
+  // The slots the range can touch; the stamps cover only these.
+  PairPass::Window window{};
+  // Window offsets with a first-tile record: [0, low) is the range's first
+  // layer, which the range before it also touches, and [high, size) is
+  // layer 0, which the last range touches (wrapping) after range 0 did.
+  int low = 0, high = 0;
+  std::vector<TileCount> tiles;
+  std::vector<int64_t> internal;
+  std::vector<int> last;   // window offset -> last tile counting it, or -1
+  std::vector<int> first;  // record -> first tile counting it, or -1
+  std::exception_ptr error;
+
+  int offset(int slot, int n) const {
+    const int i = slot - window.begin;
+    return i < 0 ? i + n : i;
+  }
+  int record(int offset) const {
+    return offset < low ? offset : low + (offset - high);
+  }
+};
+
+void count_range(const PairPass& pass, std::span<const int> node,
+                 const TileIndex& index, RangeCount& r) {
+  const int n = pass.num_atoms();
+  const int K = index.size();
+  TileCount* tiles = r.tiles.data();
+  int64_t* internal = r.internal.data();
+  int* last = r.last.data();
+  int* first = r.first.data();
+  pass.for_each(r.z0, r.z1, [&](int s, int t) {
+    const int a = node[static_cast<size_t>(s)];
+    const int b = node[static_cast<size_t>(t)];
+    if (a == b) {
+      internal[a]++;
+      return;
+    }
+    const int e = index.lookup(a, b);
+    const bool flip = (e & 1) != 0;
+    const int tile = (flip ? b : a) * K + (e >> 1);
+    TileCount& tc = tiles[tile];
+    tc.pairs++;
+    const int i = r.offset(flip ? s : t, n);
+    int& stamp = last[i];
+    if (stamp < 0 && (i < r.low || i >= r.high)) first[r.record(i)] = tile;
+    tc.remote_atoms += stamp != tile ? 1 : 0;
+    stamp = tile;
+  });
+}
+
+// The serial walk counts an atom's first stamp in `cur` as a new run only
+// if it differs from the atom's last stamp before `cur`.  For the slots
+// [s0, s1), `prev` is the only earlier range that can touch them, so that
+// stamp is prev's final one, or none if prev did not touch the atom.
+void stitch(const RangeCount& prev, const RangeCount& cur, int s0, int s1,
+            int n, std::vector<TileCount>& tiles) {
+  for (int s = s0; s < s1; ++s) {
+    const int f = cur.first[static_cast<size_t>(cur.record(cur.offset(s, n)))];
+    if (f >= 0 && prev.last[static_cast<size_t>(prev.offset(s, n))] == f) {
+      tiles[static_cast<size_t>(f)].remote_atoms--;
+    }
+  }
+}
+
+struct PairCounts {
+  std::vector<TileCount> tiles;
+  std::vector<int64_t> internal;
+};
+
+// Counts every pair into its node's internal pairs or its tile, one range
+// of layers per thread, and merges the ranges into exactly the serial
+// walk's counts.
+PairCounts count_pairs(const PairPass& pass, std::span<const int> node,
+                       const TileIndex& index, int nodes, ThreadPool& pool) {
+  const int n = pass.num_atoms();
+  const std::vector<int> bounds = pass.split(static_cast<int>(pool.size()));
+  const size_t m = bounds.size() - 1;
+  // Every buffer is allocated here, on the calling thread; the workers
+  // allocate nothing.
+  std::vector<RangeCount> ranges(m);
+  for (size_t k = 0; k < m; ++k) {
+    RangeCount& r = ranges[k];
+    r.z0 = bounds[k];
+    r.z1 = bounds[k + 1];
+    r.window = pass.reach(r.z0, r.z1);
+    const int size = r.window.end - r.window.begin;
+    r.low = k > 0 ? pass.layer_start(r.z0 + 1) - pass.layer_start(r.z0) : 0;
+    r.high = k > 0 && k == m - 1 ? size - pass.layer_start(1) : size;
+    r.tiles.resize(static_cast<size_t>(nodes) * index.size());
+    r.internal.assign(static_cast<size_t>(nodes), 0);
+    r.last.assign(static_cast<size_t>(size), -1);
+    r.first.assign(static_cast<size_t>(r.low + size - r.high), -1);
+  }
+  if (m == 1) {
+    count_range(pass, node, index, ranges[0]);
+  } else {
+    pool.for_each_thread([&](unsigned t) {
+      if (t >= m) return;
+      try {
+        count_range(pass, node, index, ranges[t]);
+      } catch (...) {
+        ranges[t].error = std::current_exception();
+      }
+    });
+    for (const RangeCount& r : ranges) {
+      if (r.error) std::rethrow_exception(r.error);
+    }
+  }
+  RangeCount& total = ranges[0];
+  for (size_t k = 1; k < m; ++k) {
+    for (size_t i = 0; i < total.tiles.size(); ++i) {
+      total.tiles[i].pairs += ranges[k].tiles[i].pairs;
+      total.tiles[i].remote_atoms += ranges[k].tiles[i].remote_atoms;
+    }
+    for (size_t v = 0; v < total.internal.size(); ++v) {
+      total.internal[v] += ranges[k].internal[v];
+    }
+  }
+  // Range k's first layer is the layer after range k - 1's last one.
+  for (size_t k = 1; k < m; ++k) {
+    stitch(ranges[k - 1], ranges[k], pass.layer_start(ranges[k].z0),
+           pass.layer_start(ranges[k].z0 + 1), n, total.tiles);
+  }
+  // Layer 0 is range 0's first layer and the last range's wrap.
+  if (m > 1) {
+    stitch(ranges[0], ranges[m - 1], 0, pass.layer_start(1), n, total.tiles);
+  }
+  return {std::move(total.tiles), std::move(total.internal)};
+}
+
 }  // namespace
 
 Workload Workload::build(const System& system,
                          const arch::MachineConfig& config) {
+  // All cores, except inside a chunk of a pool (a SweepRunner point),
+  // whose pool already fills them.
+  ThreadPool pool(ThreadPool::in_dispatch() ? 1 : 0);
+  return build(system, config, pool);
+}
+
+Workload Workload::build(const System& system,
+                         const arch::MachineConfig& config, ThreadPool& pool) {
   const double mesh_spacing = config.mesh_spacing;
   Workload w;
   const Box& box = system.box();
@@ -117,8 +271,15 @@ Workload Workload::build(const System& system,
   w.nodes_.assign(static_cast<size_t>(P), NodeWork{});
   w.total_atoms_ = system.num_atoms();
 
-  // --- per-atom node assignment -------------------------------------------
   const auto pos = system.positions();
+  const double rc = config.machine_cutoff;
+  ANTON_CHECK_MSG(rc <= box.max_cutoff(),
+                  "machine cutoff " << rc << " exceeds minimum-image limit "
+                                    << box.max_cutoff());
+  // Rejects an empty system and non-finite positions before anything bins.
+  const PairPass pass(box, pos, rc);
+
+  // --- per-atom node assignment -------------------------------------------
   std::vector<int> owner(pos.size());
   for (size_t i = 0; i < pos.size(); ++i) {
     owner[i] = dd.node_of(pos[i]);
@@ -126,11 +287,6 @@ Workload Workload::build(const System& system,
   }
 
   // --- exact pair counting with half-shell tile assignment ----------------
-  const double rc = config.machine_cutoff;
-  ANTON_CHECK_MSG(rc <= box.max_cutoff(),
-                  "machine cutoff " << rc << " exceeds minimum-image limit "
-                                    << box.max_cutoff());
-  const PairPass pass(box, pos, rc);
   const TileIndex index(dd, rc);
   const int K = index.size();
   // Node of each slot's atom, read in the pass's walk order.
@@ -138,34 +294,9 @@ Workload Workload::build(const System& system,
   for (size_t s = 0; s < pos.size(); ++s) {
     node[s] = owner[static_cast<size_t>(pass.atom(static_cast<int>(s)))];
   }
-
-  // Tile (v, k) = node v's tile at offset k, numbered v * K + k.
-  struct TileCount {
-    int64_t pairs = 0;
-    int64_t remote_atoms = 0;
-  };
-  std::vector<TileCount> tiles(static_cast<size_t>(P) * K);
-  std::vector<int64_t> internal(static_cast<size_t>(P), 0);
-  // Last tile that counted each slot's atom as remote: remote_atoms grows
-  // whenever that tile changes (see Tile::remote_atoms).
-  std::vector<int> remote_stamp(pos.size(), -1);
-  pass.for_each([&](int s, int t) {
-    const int a = node[static_cast<size_t>(s)];
-    const int b = node[static_cast<size_t>(t)];
-    if (a == b) {
-      internal[static_cast<size_t>(a)]++;
-      return;
-    }
-    const int e = index.lookup(a, b);
-    const bool flip = (e & 1) != 0;
-    const int tile = (flip ? b : a) * K + (e >> 1);
-    const int remote = flip ? s : t;
-    TileCount& tc = tiles[static_cast<size_t>(tile)];
-    tc.pairs++;
-    int& stamp = remote_stamp[static_cast<size_t>(remote)];
-    tc.remote_atoms += stamp != tile ? 1 : 0;
-    stamp = tile;
-  });
+  const PairCounts counts = count_pairs(pass, node, index, P, pool);
+  const std::vector<TileCount>& tiles = counts.tiles;
+  const std::vector<int64_t>& internal = counts.internal;
 
   // Canonical offset table (first use, nodes ascending) + per-node tiles.
   std::vector<int> offset_index(static_cast<size_t>(K), -1);

@@ -17,6 +17,10 @@
 #include "chem/system.h"
 #include "geom/decomp.h"
 
+namespace anton {
+class ThreadPool;  // common/threadpool.h
+}  // namespace anton
+
 namespace anton::core {
 
 struct BondedCounts {
@@ -38,8 +42,9 @@ struct Tile {
   // order, a remote atom is counted again every time the tile that last
   // touched it changes, so this is the number of such runs.  It lies
   // between the distinct count and `pairs`; at DHFR/512 it sums to about
-  // 5.5x the distinct count.  It depends on the pair order, which is why
-  // the pair pass fixes that order.
+  // 5.5x the distinct count.  It depends on the pair order, so a build
+  // that splits the walk across threads repairs the runs at each seam
+  // between ranges and gets the serial walk's value exactly.
   int64_t remote_atoms;
 };
 
@@ -64,8 +69,17 @@ class Workload {
  public:
   // Decomposes `system` onto the torus in `config` using the machine
   // cutoff and mesh spacing.  The node grid is config.noc dimensions.
+  // The pair pass runs on a pool of hardware_concurrency() threads made
+  // for the call, or serially when the calling thread is running a
+  // ThreadPool chunk, such as a SweepRunner point.  Rejects an empty
+  // system and a non-finite position with anton::Error.
   static Workload build(const System& system,
                         const arch::MachineConfig& config);
+  // The same on a borrowed pool: the pair pass splits into at most
+  // pool.size() ranges of z-layers.  Every field is identical for every
+  // pool size.
+  static Workload build(const System& system,
+                        const arch::MachineConfig& config, ThreadPool& pool);
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const NodeWork& node(int rank) const {

@@ -14,7 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.h"
 #include "common/threadpool.h"
+#include "core/sweep.h"
 
 namespace anton {
 namespace {
@@ -128,6 +130,49 @@ TEST(ThreadPool, EmptyRangeIsANoop) {
   bool ran = false;
   pool.parallel_for(0, [&](size_t, size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+// A chunk that dispatches on its own pool would wait on itself (on the
+// caller, a second lock of the dispatch mutex; on a worker, the caller
+// waiting for the worker).  It raises anton::Error instead, on the caller
+// (index 0) and on the workers alike, and in a SweepRunner::map eval, which
+// hands the error to the sweep's caller.  The ctest TIMEOUT turns a
+// deadlock into a failure.
+TEST(ThreadPool, NestedDispatchThrows) {
+  ThreadPool pool(4);
+  EXPECT_FALSE(ThreadPool::in_dispatch());
+  std::atomic<int> inside{0};
+  std::atomic<int> rejected{0};
+  pool.for_each_thread([&](unsigned) {
+    if (ThreadPool::in_dispatch()) inside.fetch_add(1);
+    try {
+      pool.parallel_for(8, [](size_t, size_t) {});
+    } catch (const Error&) {
+      rejected.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(inside.load(), 4);
+  EXPECT_EQ(rejected.load(), 4);
+  EXPECT_FALSE(ThreadPool::in_dispatch());
+
+  const core::SweepRunner runner(&pool);
+  std::vector<int> out;
+  EXPECT_THROW(runner.map(16, out,
+                          [&](size_t i) {
+                            pool.for_each_thread([](unsigned) {});
+                            return static_cast<int>(i);
+                          }),
+               Error);
+
+  // The pool still works, and another pool may run inside its chunks.
+  ThreadPool inner(2);
+  std::atomic<int64_t> sum{0};
+  pool.for_each_thread([&](unsigned) {
+    inner.parallel_for(10, [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) sum.fetch_add(static_cast<int64_t>(i));
+    });
+  });
+  EXPECT_EQ(sum.load(), 4 * 45);
 }
 
 }  // namespace

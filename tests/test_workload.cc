@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "chem/builder.h"
+#include "common/threadpool.h"
+#include "core/decomposition_study.h"
 #include "core/machine.h"
 #include "core/workload.h"
 #include "md/neighborlist.h"
@@ -60,6 +66,18 @@ System unwrapped_copy(const System& sys) {
   return out;
 }
 
+// Pairs within rc by the MD neighbour list (skin 0), built on a copy of the
+// topology with no exclusions.
+int64_t neighbor_list_pairs(const System& sys, double rc) {
+  const Topology& top = sys.topology();
+  Topology bare(top.forcefield());
+  for (int i = 0; i < top.num_atoms(); ++i) bare.add_atom(top.type(i), 0.0);
+  bare.finalize();
+  NeighborList nl(rc, 0.0);
+  nl.build(sys.box(), sys.positions(), bare);
+  return nl.num_pairs();
+}
+
 TEST(Workload, PairCountMatchesNeighborListWithoutExclusions) {
   // The workload counts *all* pairs within the cutoff (exclusions are a
   // force-field nicety the HTIS match units handle inline); compare against
@@ -75,6 +93,14 @@ TEST(Workload, PairCountMatchesNeighborListWithoutExclusions) {
     EXPECT_EQ(Workload::build(unwrapped, cfg).total_pairs(),
               brute_force_pairs(unwrapped, rc)) << "unwrapped, rc " << rc;
   }
+  // DHFR scale on 8^3 nodes, through the default (threaded) build, against
+  // the MD neighbour list.
+  const System dhfr = build_benchmark_system(dhfr_spec(), 2014);
+  const auto cfg = tiny_machine(8, 8, 8, 9.0);
+  const int64_t expected = neighbor_list_pairs(dhfr, 9.0);
+  EXPECT_EQ(Workload::build(dhfr, cfg).total_pairs(), expected);
+  EXPECT_EQ(Workload::build(unwrapped_copy(dhfr), cfg).total_pairs(),
+            expected);
 }
 
 TEST(Workload, EveryPairCountedExactlyOnce) {
@@ -267,6 +293,64 @@ TEST(Workload, CutoffBeyondMinImageRejected) {
   EXPECT_THROW(Workload::build(sys, cfg), Error);
 }
 
+// `sys` with atom `atom`'s z coordinate replaced by `z`.
+System with_z(const System& sys, int atom, double z) {
+  System out = sys;
+  out.positions()[static_cast<size_t>(atom)].z = z;
+  return out;
+}
+
+// A system with no atoms in `sys`'s box.
+System empty_like(const System& sys) {
+  auto top = std::make_shared<Topology>(sys.topology().forcefield());
+  top->finalize();
+  return System(top, sys.box(), {});
+}
+
+// `fn` must raise anton::Error whose message contains `needle`.
+template <class Fn>
+void expect_error(Fn&& fn, const std::string& needle, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": no anton::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+TEST(Workload, DegenerateInputRejected) {
+  // A non-finite coordinate used to bin to a garbage node (an out-of-bounds
+  // write), and an empty system estimated a finite rate.  Both are
+  // rejected before any binning, on the path that Workload::build and
+  // analyze_decomposition share, naming the atom.
+  const System water = build_water_box(300, 52, -1);
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Row {
+    const char* name;
+    System sys;
+    const char* message;
+  };
+  const Row rows[] = {
+      {"NaN", with_z(water, 17, std::nan("")), "atom 17 has a non-finite"},
+      {"+Inf", with_z(water, 0, inf), "atom 0 has a non-finite"},
+      {"-Inf", with_z(water, 899, -inf), "atom 899 has a non-finite"},
+      {"0 atoms", empty_like(water), "the system has no atoms"},
+  };
+  const auto cfg = tiny_machine(2, 2, 2, 6.0);
+  for (const Row& row : rows) {
+    expect_error([&] { Workload::build(row.sys, cfg); }, row.message,
+                 std::string(row.name) + ", Workload::build");
+    expect_error(
+        [&] {
+          analyze_decomposition(row.sys, cfg, DecompositionScheme::kHalfShell);
+        },
+        row.message, std::string(row.name) + ", analyze_decomposition");
+    expect_error([&] { AntonMachine(cfg).estimate(row.sys); }, row.message,
+                 std::string(row.name) + ", estimate");
+  }
+}
+
 TEST(Workload, LoadBalanceReasonableForUniformSystem) {
   const System sys = build_water_box(4096, 50, -1);
   const auto w = Workload::build(sys, tiny_machine(4, 4, 4, 6.0));
@@ -331,40 +415,98 @@ uint64_t workload_digest(const Workload& w) {
   return d.value();
 }
 
+struct DigestCase {
+  std::string name;
+  const System* sys;
+  int nx, ny, nz;
+  double rc;
+  uint64_t golden;  // 0: no constant; compare with the 1-thread build
+};
+
+// The systems of the digest cases, built once.
+struct DigestSystems {
+  System solvated, dhfr, unwrapped, one_atom, slab;
+};
+
+const DigestSystems& digest_systems() {
+  static const DigestSystems s = [] {
+    BuilderOptions o;
+    o.total_atoms = 3000;
+    o.seed = 47;
+    o.temperature_k = -1;
+    System solvated = build_solvated_system(o);
+    System unwrapped = unwrapped_copy(solvated);
+    // One atom in the solvated system's box.
+    auto top = std::make_shared<Topology>(solvated.topology().forcefield());
+    top->add_atom(0, 0.0);
+    top->finalize();
+    System one_atom(top, solvated.box(), {Vec3{1.0, 2.0, 3.0}});
+    // Water squeezed into the lower 40% of the box along z: most z-layers
+    // of cells are empty, and the denser ones hold the range seams.
+    System slab = build_water_box(512, 53, -1);
+    for (Vec3& p : slab.positions()) p.z *= 0.4;
+    return DigestSystems{std::move(solvated),
+                         build_benchmark_system(dhfr_spec(), 2014),
+                         std::move(unwrapped), std::move(one_atom),
+                         std::move(slab)};
+  }();
+  return s;
+}
+
+// The Workload.GoldenDigest cases.  The rc 12 cases' grid has under 3 cells
+// per axis and runs the all-pairs fallback; the unwrapped ones give the
+// positions as AntonMachine::run() does and must map exactly as the
+// wrapped ones.
+std::vector<DigestCase> golden_cases() {
+  const DigestSystems& s = digest_systems();
+  return {
+      {"solvated 2^3 rc 9", &s.solvated, 2, 2, 2, 9.0, 0x32C7687078E563CDULL},
+      {"solvated 3^3 rc 9", &s.solvated, 3, 3, 3, 9.0, 0x95E972BCE57DCACCULL},
+      {"dhfr 4^3 rc 9", &s.dhfr, 4, 4, 4, 9.0, 0x649892FB692B6059ULL},
+      {"dhfr 8^3 rc 9", &s.dhfr, 8, 8, 8, 9.0, 0x7A68E498BAC2F2FBULL},
+      {"solvated 3^3 rc 12", &s.solvated, 3, 3, 3, 12.0, 0x9B223FF76DB45322ULL},
+      {"unwrapped 3^3 rc 9", &s.unwrapped, 3, 3, 3, 9.0, 0x95E972BCE57DCACCULL},
+      {"unwrapped 3^3 rc 12", &s.unwrapped, 3, 3, 3, 12.0,
+       0x9B223FF76DB45322ULL},
+  };
+}
+
 TEST(Workload, GoldenDigest) {
   // Pins every NodeWork field and the tile-offset table bit for bit, so a
   // change to the pair pass must reproduce the order-dependent outputs
-  // (tile order, remote_atoms) exactly.  The rc 12 cases' grid has under 3
-  // cells per axis and runs the all-pairs fallback; the last two give the
-  // positions unwrapped, as AntonMachine::run() does, and must map exactly
-  // as the wrapped ones.
-  BuilderOptions o;
-  o.total_atoms = 3000;
-  o.seed = 47;
-  o.temperature_k = -1;
-  const System solvated = build_solvated_system(o);
-  const System dhfr = build_benchmark_system(dhfr_spec(), 2014);
-  const System unwrapped = unwrapped_copy(solvated);
-  struct Case {
-    const System* sys;
-    int n;
-    double rc;
-    uint64_t digest;
-  };
-  const Case cases[] = {
-      {&solvated, 2, 9.0, 0x32C7687078E563CDULL},
-      {&solvated, 3, 9.0, 0x95E972BCE57DCACCULL},
-      {&dhfr, 4, 9.0, 0x649892FB692B6059ULL},
-      {&dhfr, 8, 9.0, 0x7A68E498BAC2F2FBULL},
-      {&solvated, 3, 12.0, 0x9B223FF76DB45322ULL},
-      {&unwrapped, 3, 9.0, 0x95E972BCE57DCACCULL},
-      {&unwrapped, 3, 12.0, 0x9B223FF76DB45322ULL},
-  };
-  for (const Case& c : cases) {
+  // (tile order, remote_atoms) exactly.
+  for (const DigestCase& c : golden_cases()) {
     const Workload w =
-        Workload::build(*c.sys, tiny_machine(c.n, c.n, c.n, c.rc));
-    EXPECT_EQ(workload_digest(w), c.digest)
-        << c.sys->num_atoms() << " atoms on " << c.n << "^3, rc " << c.rc;
+        Workload::build(*c.sys, tiny_machine(c.nx, c.ny, c.nz, c.rc));
+    EXPECT_EQ(workload_digest(w), c.golden) << c.name;
+  }
+}
+
+TEST(Workload, DigestIndependentOfThreadCount) {
+  // The pair pass splits into one range of z-layers per thread and stitches
+  // remote_atoms at the seams; every pool size must give the serial
+  // build's fields bit for bit.  Beyond the golden cases: a single atom, a
+  // single node, and a 1x1x7 torus over a slab with empty layers.
+  const DigestSystems& s = digest_systems();
+  std::vector<DigestCase> cases = golden_cases();
+  cases.push_back({"one atom 2^3 rc 6", &s.one_atom, 2, 2, 2, 6.0, 0});
+  cases.push_back({"solvated 1^3 rc 9", &s.solvated, 1, 1, 1, 9.0, 0});
+  cases.push_back({"slab 1x1x7 rc 3", &s.slab, 1, 1, 7, 3.0, 0});
+  for (DigestCase& c : cases) {
+    if (c.golden == 0) {
+      ThreadPool serial(1);
+      c.golden = workload_digest(Workload::build(
+          *c.sys, tiny_machine(c.nx, c.ny, c.nz, c.rc), serial));
+    }
+  }
+  for (unsigned threads : {1u, 2u, 3u, 4u, 7u, 16u}) {
+    ThreadPool pool(threads);
+    for (const DigestCase& c : cases) {
+      const Workload w =
+          Workload::build(*c.sys, tiny_machine(c.nx, c.ny, c.nz, c.rc), pool);
+      EXPECT_EQ(workload_digest(w), c.golden)
+          << c.name << ", " << threads << " threads";
+    }
   }
 }
 
