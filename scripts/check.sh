@@ -108,19 +108,20 @@ step "DES core (zero-allocation steady state + sweep parity)"
 ctest --test-dir build --output-on-failure -j"$JOBS" \
   -R 'DesNoAlloc|SweepRunner|EventQueue'
 
-# The thread pool, sweep runner, flight recorder, threaded MD kernels and
-# the threaded pair pass of Workload::build make concurrency claims that
-# are only as good as their TSan run, so they get a targeted
-# thread-sanitizer pass even though full-tree TSan stays opt-in via
-# ANTON_CHECK_SANITIZERS.
+# The thread pool, sweep runner, flight recorder, threaded MD kernels, the
+# threaded pair pass of Workload::build and the threaded neighbour-list
+# build make concurrency claims that are only as good as their TSan run,
+# so they get a targeted thread-sanitizer pass even though full-tree TSan
+# stays opt-in via ANTON_CHECK_SANITIZERS.
 step "targeted TSan pass (build-thread/, threaded suites only)"
 cmake -B build-thread -S . -DANTON_SANITIZE=thread -DANTON_SIMD=scalar \
       >/dev/null
 cmake --build build-thread -j"$JOBS" --target test_threadpool test_sweep \
-  test_flightrecorder test_md_threaded test_determinism test_workload
+  test_flightrecorder test_md_threaded test_determinism test_workload \
+  test_md_nonbonded
 ctest --test-dir build-thread --output-on-failure -j"$JOBS" \
   -L sanitize-thread \
-  -R 'ThreadPool|SweepRunner|FlightRecorder|Threaded|Determinism|Workload'
+  -R 'ThreadPool|SweepRunner|FlightRecorder|Threaded|Determinism|Workload|NeighborList'
 
 step "bench smoke (BENCH_f6.json ... BENCH_f8.json)"
 cmake --build build --target bench-smoke -j"$JOBS"

@@ -3,8 +3,8 @@
 #include <unordered_set>
 
 #include "common/error.h"
-#include "core/pair_pass.h"
 #include "geom/decomp.h"
+#include "geom/pair_pass.h"
 
 namespace anton::core {
 

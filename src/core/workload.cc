@@ -8,8 +8,8 @@
 
 #include "common/error.h"
 #include "common/threadpool.h"
-#include "core/pair_pass.h"
 #include "fft/fft.h"
+#include "geom/pair_pass.h"
 
 namespace anton::core {
 
@@ -193,7 +193,8 @@ struct PairCounts {
 PairCounts count_pairs(const PairPass& pass, std::span<const int> node,
                        const TileIndex& index, int nodes, ThreadPool& pool) {
   const int n = pass.num_atoms();
-  const std::vector<int> bounds = pass.split(static_cast<int>(pool.size()));
+  std::vector<int> bounds;
+  pass.split(static_cast<int>(pool.size()), bounds);
   const size_t m = bounds.size() - 1;
   // Every buffer is allocated here, on the calling thread; the workers
   // allocate nothing.

@@ -6,7 +6,7 @@
 // integration counts load the geometry cores, and per-neighbour atom counts
 // size the NoC messages.  Pair counting is exact (from the actual atom
 // positions), using the same half-shell tile assignment the machine uses;
-// the pairs come from core::PairPass (pair_pass.h).
+// the pairs come from PairPass (geom/pair_pass.h).
 #pragma once
 
 #include <cstdint>

@@ -4,16 +4,12 @@
 
 namespace anton {
 
-CellGrid::CellGrid(const Box& box, double min_cell) { reset(box, min_cell); }
-
-void CellGrid::reset(const Box& box, double min_cell) {
+CellGrid::CellGrid(const Box& box, double min_cell) : box_(box) {
   ANTON_CHECK_MSG(min_cell > 0, "cell size must be positive");
-  box_ = box;
   const Vec3& l = box.lengths();
   nx_ = std::max(1, static_cast<int>(l.x / min_cell));
   ny_ = std::max(1, static_cast<int>(l.y / min_cell));
   nz_ = std::max(1, static_cast<int>(l.z / min_cell));
-  starts_.assign(static_cast<size_t>(num_cells()) + 1, 0);
 }
 
 void CellGrid::bin(std::span<const Vec3> positions) {

@@ -1,8 +1,7 @@
 // Cell (link-cell) decomposition of a periodic box.
 //
-// Used by the functional MD engine to build Verlet lists in O(N), by the
-// synthetic system builders for overlap rejection, and by the machine model
-// to count pairwise interactions per spatial region.
+// Used by the pair pass (geom/pair_pass.h), the one walk over atom pairs,
+// and by the synthetic system builders for overlap rejection.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +16,9 @@ namespace anton {
 
 class CellGrid {
  public:
-  // Builds a grid with cell side >= min_cell along each axis.
+  // Builds a grid with cell side >= min_cell along each axis.  Allocates
+  // nothing until bin().
   CellGrid(const Box& box, double min_cell);
-
-  // Re-targets the grid to a new box/cell size without releasing any of the
-  // binning storage, so a persistent grid can be rebuilt allocation-free.
-  void reset(const Box& box, double min_cell);
 
   int nx() const { return nx_; }
   int ny() const { return ny_; }
@@ -34,7 +30,7 @@ class CellGrid {
   }
   const Box& box() const { return box_; }
 
-  // Cell index for a (wrapped or unwrapped) position.
+  // Cell index for a (wrapped or unwrapped) finite position.
   int cell_of(const Vec3& p) const {
     const Vec3 w = box_.wrap(p);
     const Vec3& l = box_.lengths();
@@ -67,18 +63,13 @@ class CellGrid {
   }
 
   // Bins positions; afterwards cell_atoms(c) lists atom indices in cell c.
+  // The positions must be finite.
   void bin(std::span<const Vec3> positions);
 
   std::span<const int> cell_atoms(int cell) const {
     const auto begin = starts_[static_cast<size_t>(cell)];
     const auto end = starts_[static_cast<size_t>(cell) + 1];
     return {atoms_.data() + begin, atoms_.data() + end};
-  }
-
-  // CSR offset of `cell` into the binned atom array — the number of atoms in
-  // all lower-indexed cells.  Valid after bin().
-  int cell_start(int cell) const {
-    return starts_[static_cast<size_t>(cell)];
   }
 
   // The 27-cell stencil (self + 26 neighbours) may alias itself on very
@@ -92,8 +83,8 @@ class CellGrid {
   // wa - wb - shifts[k], which equals the minimum-image displacement for
   // any pair within the cell side length.  Writes up to 14 entries into
   // cells/shifts and returns the count.  Precondition: at least 3 cells
-  // along every axis (no stencil aliasing) — callers fall back to O(N²)
-  // otherwise.
+  // along every axis (no stencil aliasing); PairPass, its one caller, falls
+  // back to all pairs otherwise.
   int half_stencil_shifts(int cell, int* cells, Vec3* shifts) const;
 
  private:

@@ -3,9 +3,24 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "geom/cells.h"
+#include "geom/pair_pass.h"
 
 namespace anton::md {
+
+namespace {
+
+// How often each of the system's n atoms appears in `group`.
+std::vector<int> multiplicity(std::span<const int> group, size_t n) {
+  std::vector<int> m(n, 0);
+  for (int i : group) {
+    ANTON_CHECK_MSG(i >= 0 && static_cast<size_t>(i) < n,
+                    "RDF group atom " << i << " out of range");
+    ++m[static_cast<size_t>(i)];
+  }
+  return m;
+}
+
+}  // namespace
 
 RdfAccumulator::RdfAccumulator(double r_max, int bins)
     : r_max_(r_max), bins_(bins), counts_(static_cast<size_t>(bins), 0.0) {
@@ -19,52 +34,36 @@ void RdfAccumulator::add_frame(const System& system,
   ANTON_CHECK_MSG(r_max_ <= box.max_cutoff(),
                   "RDF range exceeds the minimum-image limit");
   const auto pos = system.positions();
-  const bool self = group_a.data() == group_b.data() &&
-                    group_a.size() == group_b.size();
   const double r_max2 = r_max_ * r_max_;
 
-  // Cell-accelerated pair search over group_b positions.
-  std::vector<Vec3> b_pos;
-  b_pos.reserve(group_b.size());
-  for (int j : group_b) b_pos.push_back(pos[static_cast<size_t>(j)]);
-  CellGrid grid(box, r_max_);
-  const bool tiny = grid.nx() < 3 || grid.ny() < 3 || grid.nz() < 3;
-
-  auto bin_pair = [&](double r2) {
-    const double r = std::sqrt(r2);
-    int b = static_cast<int>(r / r_max_ * bins_);
-    if (b >= bins_) b = bins_ - 1;
-    counts_[static_cast<size_t>(b)] += self ? 2.0 : 1.0;
-  };
-
-  if (tiny) {
-    for (size_t ia = 0; ia < group_a.size(); ++ia) {
-      const Vec3 pa = pos[static_cast<size_t>(group_a[ia])];
-      const size_t jb_start = self ? ia + 1 : 0;
-      for (size_t jb = jb_start; jb < group_b.size(); ++jb) {
-        if (!self || group_a[ia] != group_b[jb]) {
-          const double r2 = box.distance2(pa, b_pos[jb]);
-          if (r2 < r_max2 && r2 > 1e-12) bin_pair(r2);
-        }
-      }
+  // The pass walks the union of the two groups.
+  const std::vector<int> in_a = multiplicity(group_a, pos.size());
+  const std::vector<int> in_b = multiplicity(group_b, pos.size());
+  std::vector<size_t> atoms;
+  std::vector<Vec3> atom_pos;
+  for (size_t i = 0; i < pos.size(); ++i) {
+    if (in_a[i] + in_b[i] > 0) {
+      atoms.push_back(i);
+      atom_pos.push_back(pos[i]);
     }
-  } else {
-    grid.bin(b_pos);
-    for (size_t ia = 0; ia < group_a.size(); ++ia) {
-      const int i_global = group_a[ia];
-      const Vec3 pa = pos[static_cast<size_t>(i_global)];
-      const int c = grid.cell_of(pa);
-      for (int nc : grid.stencil(c)) {
-        for (int jb : grid.cell_atoms(nc)) {
-          if (self) {
-            // Count each unordered pair once (then weight 2 in bin_pair).
-            if (group_b[static_cast<size_t>(jb)] <= i_global) continue;
-          }
-          const double r2 = box.distance2(pa, b_pos[static_cast<size_t>(jb)]);
-          if (r2 < r_max2 && r2 > 1e-12) bin_pair(r2);
-        }
+  }
+
+  // An unordered pair {a, b} stands for the (a in A, b in B) and the
+  // (b in A, a in B) pairs: 2 for a self-RDF, 1 for disjoint groups.
+  if (!atoms.empty()) {
+    const PairPass pass(box, atom_pos, r_max_);
+    pass.for_each([&](int s, int t) {
+      const size_t a = atoms[static_cast<size_t>(pass.atom(s))];
+      const size_t b = atoms[static_cast<size_t>(pass.atom(t))];
+      const int weight = in_a[a] * in_b[b] + in_a[b] * in_b[a];
+      if (weight == 0) return;
+      const double r2 = box.distance2(pos[a], pos[b]);
+      if (r2 < r_max2 && r2 > 1e-12) {
+        int bin = static_cast<int>(std::sqrt(r2) / r_max_ * bins_);
+        if (bin >= bins_) bin = bins_ - 1;
+        counts_[static_cast<size_t>(bin)] += weight;
       }
-    }
+    });
   }
 
   const double rho_b =

@@ -18,8 +18,13 @@ class RdfAccumulator {
   // r range [0, r_max) with `bins` bins.
   RdfAccumulator(double r_max, int bins);
 
-  // Adds one frame.  `group_a` and `group_b` are atom indices; pass the
-  // same span twice for a self-RDF (i<j pairs counted once).
+  // Adds one frame.  `group_a` and `group_b` are atom indices; every pair
+  // (a in group_a, b in group_b) of distinct positions within r_max counts
+  // once, so the same group passed twice gives a self-RDF.  The pairs come
+  // from one pair pass (geom/pair_pass.h) over the union of the groups.
+  // Rejects an out-of-range index, and a non-finite position of a group
+  // atom, with anton::Error; the latter names the atom by its rank in the
+  // union.
   void add_frame(const System& system, std::span<const int> group_a,
                  std::span<const int> group_b);
 

@@ -4,7 +4,7 @@
 #include <atomic>
 
 #include "common/error.h"
-#include "geom/cells.h"
+#include "geom/pair_pass.h"
 
 namespace anton {
 
@@ -20,55 +20,39 @@ NeighborList::NeighborList(double cutoff, double skin)
 
 NeighborList::~NeighborList() = default;
 
-// Enumerates candidate pairs for cells [cell_begin, cell_end) into `shard`.
-// Distances use the cell-image displacement wa - wb - shift, which avoids
-// the per-candidate divisions of Box::min_image and is exact for every pair
-// inside the list radius (see CellGrid::half_stencil_shifts).
-void NeighborList::collect_cells(const CellGrid& grid, const Topology& top,
-                                 double rl2, int cell_begin, int cell_end,
-                                 BuildShard& shard) const {
+// Counts the pairs whose home cell lies in the pass's layers [z0, z1) into
+// their rows (the lower atom index).
+void NeighborList::count_range(int z0, int z1, int* counts) const {
   ANTON_HOT_NOALLOC();
-  int sten_cells[14];
-  Vec3 sten_shifts[14];
-  const Vec3* wp = wrapped_.data();
-  for (int c = cell_begin; c < cell_end; ++c) {
-    const auto atoms_c = grid.cell_atoms(c);
-    if (atoms_c.empty()) continue;
-    const int ns = grid.half_stencil_shifts(c, sten_cells, sten_shifts);
-    for (int k = 0; k < ns; ++k) {
-      const int nc = sten_cells[k];
-      const Vec3 s = sten_shifts[k];
-      const auto atoms_n = grid.cell_atoms(nc);
-      for (int a : atoms_c) {
-        const Vec3 pa = wp[a] - s;
-        for (int b : atoms_n) {
-          if (nc == c && b <= a) continue;
-          const Vec3 d = pa - wp[b];
-          if (norm2(d) >= rl2) continue;
-          const int i = std::min(a, b);
-          const int j = std::max(a, b);
-          if (top.excluded(i, j)) continue;
-          // Amortized growth into the persistent shard: allocation-free once
-          // capacities settle (asserted by the steady-state allocation test).
-          shard.pair_i.push_back(i);  // anton-lint: allow(hot-alloc)
-          shard.pair_j.push_back(j);  // anton-lint: allow(hot-alloc)
-          ++shard.counts[static_cast<size_t>(i)];
-        }
-      }
-    }
-  }
+  const PairPass& pass = *pass_;
+  pass.for_each(z0, z1, [&](int s, int) { ++counts[pass.atom(s)]; });
+}
+
+// Walks the same pairs again, in the same order, writing each one's j at
+// its row's cursor.
+void NeighborList::fill_range(int z0, int z1, int* cursors) {
+  ANTON_HOT_NOALLOC();
+  const PairPass& pass = *pass_;
+  int* list = list_.data();
+  pass.for_each(z0, z1, [&](int s, int t) {
+    list[cursors[pass.atom(s)]++] = pass.atom(t);
+  });
 }
 
 // Counting pass: per-atom totals -> CSR starts_, shard counts -> scatter
-// cursors (disjoint slots per shard), then race-free scatter and a per-atom
-// sort so the layout matches the serial build exactly.
-void NeighborList::merge_shards(int n, unsigned nshards, ThreadPool* pool) {
+// cursors (disjoint slots per shard), then a race-free fill walk and a
+// per-atom sort so the layout matches the serial build exactly.  Each
+// sorted row then drops its excluded j in place with a cursor over the
+// ascending exclusions_of(i), and a last pass closes the gaps between rows.
+void NeighborList::merge_shards(const Topology& top, unsigned nshards,
+                                ThreadPool* pool) {
+  const int n = top.num_atoms();
   starts_.assign(static_cast<size_t>(n) + 1, 0);
   int64_t total = 0;
   for (int i = 0; i < n; ++i) {
     int64_t cursor = total;
     for (unsigned t = 0; t < nshards; ++t) {
-      auto& counts = shards_[t].counts;
+      auto& counts = shards_[t];
       const int c = counts[static_cast<size_t>(i)];
       counts[static_cast<size_t>(i)] = static_cast<int>(cursor);
       cursor += c;
@@ -78,121 +62,79 @@ void NeighborList::merge_shards(int n, unsigned nshards, ThreadPool* pool) {
   }
   list_.resize(static_cast<size_t>(total));
 
-  auto scatter = [&](unsigned t) {
-    if (t >= nshards) return;
-    BuildShard& shard = shards_[t];
-    auto& cursors = shard.counts;
-    const size_t npairs = shard.pair_i.size();
-    for (size_t k = 0; k < npairs; ++k) {
-      list_[static_cast<size_t>(
-          cursors[static_cast<size_t>(shard.pair_i[k])]++)] = shard.pair_j[k];
+  auto fill = [&](unsigned t) {
+    if (t < nshards) {
+      fill_range(layer_bounds_[t], layer_bounds_[t + 1], shards_[t].data());
     }
   };
+  // The fill cursors are spent; shard 0's take each row's kept length.
+  int* kept = shards_[0].data();
   auto sort_range = [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
-      std::sort(list_.begin() + starts_[i], list_.begin() + starts_[i + 1]);
+      int* const row = list_.data() + starts_[i];
+      int* const row_end = list_.data() + starts_[i + 1];
+      std::sort(row, row_end);
+      const auto ex = top.exclusions_of(static_cast<int>(i));
+      auto x = ex.begin();
+      int* out = row;
+      for (const int* p = row; p != row_end; ++p) {
+        while (x != ex.end() && *x < *p) ++x;
+        if (x == ex.end() || *x != *p) *out++ = *p;
+      }
+      kept[i] = static_cast<int>(out - row);
     }
   };
   if (pool != nullptr && nshards > 1) {
-    pool->for_each_thread(scatter);
+    pool->for_each_thread(fill);
     pool->parallel_for(static_cast<size_t>(n), sort_range);
   } else {
-    for (unsigned t = 0; t < nshards; ++t) scatter(t);
+    for (unsigned t = 0; t < nshards; ++t) fill(t);
     sort_range(0, static_cast<size_t>(n));
   }
+
+  // Rows only move down, so each copy reads ahead of what it writes.
+  int64_t end = 0;
+  for (int i = 0; i < n; ++i) {
+    const auto row = list_.begin() + starts_[static_cast<size_t>(i)];
+    if (row != list_.begin() + end) {
+      std::copy(row, row + kept[i], list_.begin() + end);
+    }
+    starts_[static_cast<size_t>(i)] = end;
+    end += kept[i];
+  }
+  starts_[static_cast<size_t>(n)] = end;
+  list_.resize(static_cast<size_t>(end));
 }
 
 void NeighborList::build(const Box& box, std::span<const Vec3> positions,
                          const Topology& top, ThreadPool* pool) {
-  const double rl = list_radius();
-  ANTON_CHECK_MSG(rl <= box.max_cutoff(),
-                  "list radius " << rl << " exceeds minimum-image limit "
-                                 << box.max_cutoff());
   const int n = static_cast<int>(positions.size());
   ANTON_CHECK(n == top.num_atoms());
-
-  if (grid_ == nullptr) {
-    grid_ = std::make_unique<CellGrid>(box, rl);
+  if (pass_ == nullptr) {
+    pass_ = std::make_unique<PairPass>(box, positions, list_radius());
   } else {
-    grid_->reset(box, rl);
+    pass_->rebin(box, positions);
   }
-  CellGrid& grid = *grid_;
-  grid.bin(positions);
 
-  const double rl2 = rl * rl;
-  const bool tiny_grid =
-      grid.nx() < 3 || grid.ny() < 3 || grid.nz() < 3;
-  const unsigned nshards =
-      (pool == nullptr || tiny_grid ||
-       positions.size() < kSerialThreshold)
-          ? 1
-          : std::min(pool->size(),
-                     static_cast<unsigned>(grid.num_cells()));
-
+  const bool threaded =
+      pool != nullptr && positions.size() >= kSerialThreshold;
+  pass_->split(threaded ? static_cast<int>(pool->size()) : 1, layer_bounds_);
+  const unsigned nshards = static_cast<unsigned>(layer_bounds_.size()) - 1;
   if (shards_.size() < nshards) shards_.resize(nshards);
   for (unsigned t = 0; t < nshards; ++t) {
-    shards_[t].pair_i.clear();
-    shards_[t].pair_j.clear();
-    shards_[t].counts.assign(static_cast<size_t>(n), 0);
+    shards_[t].assign(static_cast<size_t>(n), 0);
   }
-
-  if (tiny_grid) {
-    // Stencils alias on tiny grids; fall back to O(N²) which is only hit by
-    // very small test systems.
-    BuildShard& shard = shards_[0];
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (box.distance2(positions[static_cast<size_t>(i)],
-                          positions[static_cast<size_t>(j)]) < rl2 &&
-            !top.excluded(i, j)) {
-          shard.pair_i.push_back(i);
-          shard.pair_j.push_back(j);
-          ++shard.counts[static_cast<size_t>(i)];
-        }
-      }
+  auto count = [&](unsigned t) {
+    if (t < nshards) {
+      count_range(layer_bounds_[t], layer_bounds_[t + 1], shards_[t].data());
     }
-    merge_shards(n, 1, nullptr);
+  };
+  if (nshards > 1) {
+    pool->for_each_thread(count);
   } else {
-    // Wrap once so the collection loop can use shift-based displacements
-    // (no divisions); for positions already in-box this is the identity.
-    wrapped_.resize(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      wrapped_[static_cast<size_t>(i)] =
-          box.wrap(positions[static_cast<size_t>(i)]);
-    }
-
-    // Split cells so each shard owns a contiguous range with roughly equal
-    // atoms (cells are CSR-ordered, so grid starts give cumulative atoms).
-    const int ncells = grid.num_cells();
-    shard_cell_begin_.assign(nshards + 1, 0);
-    shard_cell_begin_[nshards] = ncells;
-    for (unsigned t = 1; t < nshards; ++t) {
-      const int target =
-          static_cast<int>(static_cast<int64_t>(n) * t / nshards);
-      int lo = shard_cell_begin_[t - 1], hi = ncells;
-      while (lo < hi) {
-        const int mid = lo + (hi - lo) / 2;
-        if (grid.cell_start(mid) < target) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      shard_cell_begin_[t] = lo;
-    }
-
-    if (nshards > 1) {
-      pool->for_each_thread([&](unsigned t) {
-        if (t < nshards) {
-          collect_cells(grid, top, rl2, shard_cell_begin_[t],
-                        shard_cell_begin_[t + 1], shards_[t]);
-        }
-      });
-    } else {
-      collect_cells(grid, top, rl2, 0, ncells, shards_[0]);
-    }
-    merge_shards(n, nshards, nshards > 1 ? pool : nullptr);
+    count(0);
   }
+  merge_shards(top, nshards, nshards > 1 ? pool : nullptr);
 
   ref_positions_.assign(positions.begin(), positions.end());
 

@@ -1,15 +1,19 @@
-// Verlet neighbour list with skin, built from a cell grid in O(N).
+// Verlet neighbour list with skin: the pairs of the pair pass
+// (geom/pair_pass.h) at radius cutoff + skin, stored as a CSR.
 //
 // Pairs are stored half (each unordered pair once, under the lower index,
 // sorted per atom).  Topological exclusions are filtered at build time, so
 // force loops never branch on exclusion.
 //
-// The build is parallelised over cells when a ThreadPool is supplied: each
-// thread collects pairs into a persistent shard buffer, a counting pass
-// merges the shards directly into the CSR arrays (disjoint slots, so the
-// scatter is race-free), and a parallel per-atom sort makes the result
-// identical to the serial build bit-for-bit.  All scratch persists across
-// builds, so steady-state rebuilds do not allocate once capacities settle.
+// With a ThreadPool the pass's walk splits into one range of z-layers per
+// thread (a shard).  Each shard counts its pairs per row, a counting pass
+// turns the counts into disjoint slots of the CSR arrays, and each shard
+// walks its pairs again to write them there, so no pair is stored twice
+// and the fill is race-free.  A parallel per-atom sort, followed by a
+// merge against the atom's sorted exclusion row, makes the result
+// identical to the serial build bit for bit.  The pass and all scratch
+// persist across builds, so steady-state rebuilds do not allocate once
+// capacities settle.
 #pragma once
 
 #include <cstdint>
@@ -24,20 +28,22 @@
 
 namespace anton {
 
-class CellGrid;  // geom/cells.h; only the .cc needs the definition
+class PairPass;  // geom/pair_pass.h; only the .cc needs the definition
 
 class NeighborList {
  public:
   NeighborList(double cutoff, double skin);
-  ~NeighborList();  // out of line: grid_ is incomplete here
+  ~NeighborList();  // out of line: pass_ is incomplete here
 
   double cutoff() const { return cutoff_; }
   double skin() const { return skin_; }
   double list_radius() const { return cutoff_ + skin_; }
 
   // Rebuilds from scratch; remembers positions for displacement tracking.
-  // With a pool, collection/scatter/sort run threaded; the resulting CSR is
-  // identical to the serial build.
+  // With a pool, the count, fill and sort run threaded; the resulting CSR
+  // is identical to the serial build.  Rejects a list radius beyond
+  // box.max_cutoff(), an empty system and a non-finite position with
+  // anton::Error.
   void build(const Box& box, std::span<const Vec3> positions,
              const Topology& top, ThreadPool* pool = nullptr);
 
@@ -69,29 +75,23 @@ class NeighborList {
   void validate() const;
 
  private:
-  // One per build thread: pairs found plus per-atom counts (reused as
-  // scatter cursors by the merge pass).
-  struct BuildShard {
-    std::vector<int> pair_i;
-    std::vector<int> pair_j;
-    std::vector<int> counts;
-  };
-
-  void collect_cells(const CellGrid& grid, const Topology& top, double rl2,
-                     int cell_begin, int cell_end, BuildShard& shard) const;
-  void merge_shards(int n, unsigned nshards, ThreadPool* pool);
+  void count_range(int z0, int z1, int* counts) const;
+  void fill_range(int z0, int z1, int* cursors);
+  void merge_shards(const Topology& top, unsigned nshards, ThreadPool* pool);
 
   double cutoff_;
   double skin_;
   std::vector<int> list_;
   std::vector<int64_t> starts_;
   std::vector<Vec3> ref_positions_;
-  // Build scratch, persistent across builds.  The cell grid keeps its
-  // binning storage, so steady-state rebuilds touch no allocator.
-  std::unique_ptr<CellGrid> grid_;
-  std::vector<Vec3> wrapped_;
-  std::vector<BuildShard> shards_;
-  std::vector<int> shard_cell_begin_;
+  // Build scratch, persistent across builds.  The pass re-bins in its own
+  // storage, so steady-state rebuilds touch no allocator.
+  std::unique_ptr<PairPass> pass_;
+  // Shard t walks the pass's layers [layer_bounds_[t], layer_bounds_[t+1]).
+  std::vector<int> layer_bounds_;
+  // Per shard and atom: its pair count, then its fill cursor (and shard
+  // 0's, the row's length after the exclusion filter).
+  std::vector<std::vector<int>> shards_;
 };
 
 }  // namespace anton

@@ -439,9 +439,8 @@ void pair_kernel_simd(const Box& box, const ForceWorkspace& ws,
 // Inner kernel over the i-range [begin, end); contributions flow through the
 // accumulator policy.  All per-pair parameters come from the workspace
 // caches (premixed LJ table, prescaled charges), so the loop reads flat SoA
-// arrays only.  With kTable the screened-Coulomb energy/force factors come
-// from cubic-Hermite tables in r² (no sqrt, no erfc/exp on the hot path).
-template <bool kTable, class Acc>
+// arrays only.
+template <class Acc>
 void pair_kernel(const Box& box, const ForceWorkspace& ws,
                  const NeighborList& nlist, std::span<const Vec3> pos,
                  std::span<const int> types, std::span<const double> charges,
@@ -457,10 +456,6 @@ void pair_kernel(const Box& box, const ForceWorkspace& ws,
   // divisions per candidate pair, which -O2 cannot do on its own.
   const Vec3 box_l = box.lengths();
   const Vec3 inv_l{1.0 / box_l.x, 1.0 / box_l.y, 1.0 / box_l.z};
-  [[maybe_unused]] const double table_r2_min =
-      kTable ? ws.table_r2_min() : 0.0;
-  [[maybe_unused]] const CoulTableView tab =
-      kTable ? ws.coul_ef() : CoulTableView{};
 
   for (size_t i = begin; i < end; ++i) {
     const Vec3 pi = pos[i];
@@ -490,52 +485,19 @@ void pair_kernel(const Box& box, const ForceWorkspace& ws,
       const double qq = qi * charges[static_cast<size_t>(j)];
       if (qq != 0.0) {
         double e_c, f_c;
-        if constexpr (kTable) {
-          if (r2 >= table_r2_min) {
-            // Fused cubic-Hermite lookup: one index computation and one
-            // basis evaluation feed both the energy and the force factor
-            // (which already folds in the 1/r², so no division here).
-            const double s = (r2 - tab.x0) * tab.inv_h;
-            int k = static_cast<int>(s);
-            if (k > tab.n - 2) k = tab.n - 2;
-            const double t = s - k;
-            const CoulNode& a = tab.nodes[k];
-            const CoulNode& b = tab.nodes[k + 1];
-            const double t2 = t * t;
-            const double t3 = t2 * t;
-            const double h00 = 2 * t3 - 3 * t2 + 1;
-            const double h10 = (t3 - 2 * t2 + t) * tab.h;
-            const double h01 = -2 * t3 + 3 * t2;
-            const double h11 = (t3 - t2) * tab.h;
-            e_c = qq * (h00 * a.ev + h10 * a.ed + h01 * b.ev + h11 * b.ed -
-                        coul_shift);
-            f_c = qq * (h00 * a.fv + h10 * a.fd + h01 * b.fv + h11 * b.fd);
-          } else {
-            const double inv_r2 = 1.0 / r2;
-            const double r = std::sqrt(r2);
-            const double ar = alpha * r;
-            const double erfc_ar = std::erfc(ar);
-            e_c = qq * (erfc_ar / r - coul_shift);
-            f_c = qq *
-                  (erfc_ar / r +
-                   kTwoOverSqrtPi * alpha * std::exp(-ar * ar)) *
-                  inv_r2;
-          }
+        const double inv_r2 = 1.0 / r2;
+        const double r = std::sqrt(r2);
+        if (alpha > 0) {
+          const double ar = alpha * r;
+          const double erfc_ar = std::erfc(ar);
+          e_c = qq * (erfc_ar / r - coul_shift);
+          f_c = qq *
+                (erfc_ar / r +
+                 kTwoOverSqrtPi * alpha * std::exp(-ar * ar)) *
+                inv_r2;
         } else {
-          const double inv_r2 = 1.0 / r2;
-          const double r = std::sqrt(r2);
-          if (alpha > 0) {
-            const double ar = alpha * r;
-            const double erfc_ar = std::erfc(ar);
-            e_c = qq * (erfc_ar / r - coul_shift);
-            f_c = qq *
-                  (erfc_ar / r +
-                   kTwoOverSqrtPi * alpha * std::exp(-ar * ar)) *
-                  inv_r2;
-          } else {
-            e_c = qq * (1.0 / r - coul_shift);
-            f_c = qq / r * inv_r2;
-          }
+          e_c = qq * (1.0 / r - coul_shift);
+          f_c = qq / r * inv_r2;
         }
         acc.add_coul(e_c);
         f_pair += f_c;
@@ -663,8 +625,8 @@ void compute_nonbonded(const Box& box, const Topology& top,
         ws->partial_fixed(t) = acc.e;
       } else {
         FixedAcc acc{ws->thread_force_fixed(t)};
-        pair_kernel<false>(box, *ws, nlist, pos, types, charges, alpha,
-                           cutoff2, begin, end, acc);
+        pair_kernel(box, *ws, nlist, pos, types, charges, alpha, cutoff2,
+                    begin, end, acc);
         ws->partial_fixed(t) = acc.e;
       }
     };
@@ -716,8 +678,8 @@ void compute_nonbonded(const Box& box, const Topology& top,
       return acc.e;
     }
     DoubleAcc acc{f};
-    pair_kernel<false>(box, *ws, nlist, pos, types, charges, alpha, cutoff2,
-                       begin, end, acc);
+    pair_kernel(box, *ws, nlist, pos, types, charges, alpha, cutoff2, begin,
+                end, acc);
     return acc.e;
   };
 

@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 
 #include "chem/builder.h"
 #include "core/decomposition_study.h"
+#include "test_support.h"
 
 namespace anton::core {
 namespace {
+
+using test_support::Digest;
 
 arch::MachineConfig machine(int n, double cutoff) {
   auto cfg = arch::MachineConfig::anton2(n, n, n);
@@ -85,41 +87,22 @@ TEST(DecompositionStudy, ImportBytesScaleWithPositionSize) {
   EXPECT_NEAR(b.total_import_bytes, 2.0 * a.total_import_bytes, 1e-6);
 }
 
-// FNV-1a over 64-bit words; doubles enter as their raw IEEE bits.
-class Digest {
- public:
-  void add(uint64_t u) {
-    for (int b = 0; b < 8; ++b) {
-      h_ ^= (u >> (8 * b)) & 0xFF;
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void add_bits(double v) {
-    uint64_t u = 0;
-    std::memcpy(&u, &v, sizeof u);
-    add(u);
-  }
-  void add(const RunningStat& s) {
-    add(s.count());
-    add_bits(s.mean());
-    add_bits(s.variance());
-    add_bits(s.sum());
-    add_bits(s.min());
-    add_bits(s.max());
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 0xCBF29CE484222325ULL;
-};
+void add(Digest& d, const RunningStat& s) {
+  d.add(s.count());
+  d.add_bits(s.mean());
+  d.add_bits(s.variance());
+  d.add_bits(s.sum());
+  d.add_bits(s.min());
+  d.add_bits(s.max());
+}
 
 uint64_t stats_digest(const ImportStats& s) {
   Digest d;
   d.add(static_cast<uint64_t>(s.scheme));
   d.add(static_cast<uint64_t>(s.nodes));
   d.add(static_cast<uint64_t>(s.total_pairs));
-  d.add(s.imported_atoms);
-  d.add(s.exported_copies);
+  add(d, s.imported_atoms);
+  add(d, s.exported_copies);
   d.add_bits(s.total_import_bytes);
   return d.value();
 }

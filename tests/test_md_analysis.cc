@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "chem/builder.h"
 #include "common/rng.h"
 #include "md/analysis.h"
 #include "md/engine.h"
+#include "test_support.h"
 
 namespace anton::md {
 namespace {
@@ -106,6 +110,45 @@ TEST(Rdf, CrossRdfBetweenDifferentGroups) {
   rdf.add_frame(sys, o, h);
   // Intramolecular O-H at 0.9572 Å dominates.
   EXPECT_NEAR(rdf.first_peak_r(0.5), 0.9572, 0.1);
+}
+
+// FNV-1a over the IEEE bits of g(r).
+uint64_t bits_digest(const std::vector<double>& values) {
+  test_support::Digest d;
+  for (double v : values) d.add_bits(v);
+  return d.value();
+}
+
+TEST(Rdf, GoldenCounts) {
+  // g(r) bit for bit on a self RDF, a cross RDF, one over every atom, and
+  // a range that leaves under 3 cells per axis in the 28 Å box (the
+  // all-pairs fallback).  The constants come from the RDF that walked a
+  // cell grid of its own, before it moved onto the pair pass.
+  const System sys = build_water_box(729, 73, -1);
+  const auto o = atoms_of_type(sys.topology(), ForceField::Std::kOW);
+  const auto h = atoms_of_type(sys.topology(), ForceField::Std::kHW);
+  std::vector<int> all(static_cast<size_t>(sys.num_atoms()));
+  std::iota(all.begin(), all.end(), 0);
+  struct Row {
+    const char* name;
+    const std::vector<int>* a;
+    const std::vector<int>* b;
+    double r_max;
+    int bins;
+    uint64_t golden;
+  };
+  const Row rows[] = {
+      {"O-O self", &o, &o, 6.5, 65, 0xE34BED81C8CCCF22ULL},
+      {"O-H cross", &o, &h, 5.0, 50, 0xA0D9C7DF27B1406AULL},
+      {"all atoms", &all, &all, 6.0, 60, 0x484877FBAA1B7918ULL},
+      {"O-O fallback", &o, &o, 10.0, 100, 0xF8AFFADEF7A1F3F8ULL},
+  };
+  for (const Row& row : rows) {
+    RdfAccumulator rdf(row.r_max, row.bins);
+    rdf.add_frame(sys, *row.a, *row.b);
+    EXPECT_EQ(bits_digest(rdf.g_of_r()), row.golden)
+        << row.name << ": 0x" << std::hex << bits_digest(rdf.g_of_r());
+  }
 }
 
 TEST(Rdf, RejectsRangeBeyondMinImage) {

@@ -1,16 +1,28 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "chem/builder.h"
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "common/units.h"
+#include "md/analysis.h"
 #include "md/neighborlist.h"
 #include "md/nonbonded.h"
+#include "test_support.h"
 
 namespace anton::md {
 namespace {
+
+using test_support::Digest;
+using test_support::expect_error;
 
 // Two neutral LJ particles in a big box.
 struct LjPairFixture {
@@ -26,34 +38,171 @@ struct LjPairFixture {
   }
 };
 
-TEST(NeighborList, MatchesBruteForce) {
-  const System sys = build_water_box(343, 17, -1);
-  const Topology& top = sys.topology();
-  NeighborList nlist(6.0, 1.0);
-  nlist.build(sys.box(), sys.positions(), top);
+// A copy of `sys` with every atom moved by one or two box lengths per axis,
+// in a pattern that varies with the atom index: the same configuration,
+// given unwrapped, as md::Simulation holds it after atoms cross the box.
+System unwrapped_copy(const System& sys) {
+  System out = sys;
+  const Vec3& l = sys.box().lengths();
+  auto pos = out.positions();
+  for (size_t i = 0; i < pos.size(); ++i) {
+    pos[i].x += (i % 2 == 0 ? 1.0 : -2.0) * l.x;
+    pos[i].y += (i % 3 == 0 ? -1.0 : 2.0) * l.y;
+    pos[i].z += (i % 5 < 2 ? 2.0 : -1.0) * l.z;
+  }
+  return out;
+}
 
-  // Brute force reference.
-  std::set<std::pair<int, int>> ref;
-  const auto pos = sys.positions();
-  const double rl2 = 7.0 * 7.0;
-  for (int i = 0; i < sys.num_atoms(); ++i) {
-    for (int j = i + 1; j < sys.num_atoms(); ++j) {
-      if (top.excluded(i, j)) continue;
-      if (norm2(sys.box().min_image(pos[static_cast<size_t>(i)],
-                                    pos[static_cast<size_t>(j)])) < rl2) {
-        ref.insert({i, j});
+TEST(NeighborList, MatchesBruteForce) {
+  // The cell walk on wrapped and on unwrapped positions, and a list radius
+  // (10 Å in a 21.7 Å box) that leaves under 3 cells per axis: the
+  // all-pairs fallback.
+  const System sys = build_water_box(343, 17, -1);
+  const System unwrapped = unwrapped_copy(sys);
+  const Topology& top = sys.topology();
+  struct Row {
+    const char* name;
+    const System* sys;
+    double cutoff;
+  };
+  for (const Row& row : {Row{"cell walk", &sys, 6.0},
+                         Row{"unwrapped", &unwrapped, 6.0},
+                         Row{"fallback", &sys, 9.0}}) {
+    SCOPED_TRACE(row.name);
+    NeighborList nlist(row.cutoff, 1.0);
+    nlist.build(row.sys->box(), row.sys->positions(), top);
+
+    // Brute force reference.
+    std::set<std::pair<int, int>> ref;
+    const auto pos = row.sys->positions();
+    const double rl2 = nlist.list_radius() * nlist.list_radius();
+    for (int i = 0; i < sys.num_atoms(); ++i) {
+      for (int j = i + 1; j < sys.num_atoms(); ++j) {
+        if (top.excluded(i, j)) continue;
+        if (norm2(sys.box().min_image(pos[static_cast<size_t>(i)],
+                                      pos[static_cast<size_t>(j)])) < rl2) {
+          ref.insert({i, j});
+        }
       }
     }
-  }
 
-  std::set<std::pair<int, int>> got;
-  for (int i = 0; i < sys.num_atoms(); ++i) {
-    for (int j : nlist.neighbors_of(i)) {
-      EXPECT_GT(j, i);
-      EXPECT_TRUE(got.insert({i, j}).second) << "duplicate pair";
+    std::set<std::pair<int, int>> got;
+    for (int i = 0; i < sys.num_atoms(); ++i) {
+      for (int j : nlist.neighbors_of(i)) {
+        EXPECT_GT(j, i);
+        EXPECT_TRUE(got.insert({i, j}).second) << "duplicate pair";
+      }
+    }
+    EXPECT_EQ(got, ref);
+  }
+}
+
+// starts() and then every row, in order.
+uint64_t csr_digest(const NeighborList& nlist) {
+  Digest d;
+  for (int64_t s : nlist.starts()) d.add(static_cast<uint64_t>(s));
+  for (int i = 0; i < nlist.num_atoms(); ++i) {
+    for (int j : nlist.neighbors_of(i)) d.add(static_cast<uint64_t>(j));
+  }
+  return d.value();
+}
+
+TEST(NeighborList, GoldenCsrDigest) {
+  // Pins the CSR bit for bit, serially and at every pool size, on the cell
+  // walk and on the all-pairs fallback (a 10 Å list radius in the 28 Å
+  // water box leaves 2 cells per axis), with DHFR wrapped and unwrapped.
+  // The constants come from the build that walked the cells itself, before
+  // the list moved onto the pair pass.
+  const System water = build_water_box(729, 71, -1);
+  const System dhfr = build_benchmark_system(dhfr_spec(), 2014);
+  const System dhfr_unwrapped = unwrapped_copy(dhfr);
+  struct Row {
+    const char* name;
+    const System* sys;
+    double cutoff, skin;
+    uint64_t golden;
+  };
+  const Row rows[] = {
+      {"water 729 6.5/0.7", &water, 6.5, 0.7, 0x58F919083EB2304DULL},
+      {"water 729 9/1 (fallback)", &water, 9.0, 1.0, 0x62DE9FEDAD11B47AULL},
+      {"dhfr 9/1", &dhfr, 9.0, 1.0, 0x31B67EF1867A4708ULL},
+      {"dhfr unwrapped 9/1", &dhfr_unwrapped, 9.0, 1.0,
+       0x31B67EF1867A4708ULL},
+      {"dhfr 12/1", &dhfr, 12.0, 1.0, 0xB3C7FF4C7BA9D10CULL},
+  };
+  for (const Row& row : rows) {
+    for (unsigned threads : {0u, 2u, 3u, 4u, 7u}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      NeighborList nlist(row.cutoff, row.skin);
+      nlist.build(row.sys->box(), row.sys->positions(),
+                  row.sys->topology(), pool.get());
+      EXPECT_EQ(csr_digest(nlist), row.golden)
+          << row.name << ", " << threads << " threads: 0x" << std::hex
+          << csr_digest(nlist);
     }
   }
-  EXPECT_EQ(got, ref);
+}
+
+TEST(NeighborList, RebuildInNewBoxMatchesFreshList) {
+  // ForceCompute::set_box rebuilds the same list in a new box: the pass
+  // re-bins in place, through a finer grid, the all-pairs fallback and
+  // back, and must give what a fresh list gives.
+  const System sys = build_water_box(343, 17, -1);
+  NeighborList reused(6.0, 1.0);
+  for (double scale : {1.0, 1.5, 0.95, 1.0}) {
+    SCOPED_TRACE(scale);
+    const Box box(sys.box().lengths() * scale);
+    std::vector<Vec3> pos(sys.positions().begin(), sys.positions().end());
+    for (Vec3& p : pos) p = p * scale;
+    reused.build(box, pos, sys.topology());
+    NeighborList fresh(6.0, 1.0);
+    fresh.build(box, pos, sys.topology());
+    EXPECT_EQ(csr_digest(reused), csr_digest(fresh));
+  }
+}
+
+TEST(NeighborList, DegenerateInputRejected) {
+  // A non-finite coordinate used to bin to a garbage cell: a signed
+  // overflow in CellGrid::cell_of, then an out-of-bounds read.  The list
+  // and the RDF reach the pair pass's check, which names the atom: a
+  // first build on constructing the pass, a rebuild on re-binning it.
+  // 2,187 atoms take the threaded build with the pool.
+  const System water = build_water_box(729, 72, -1);
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Row {
+    const char* name;
+    int atom;
+    double z;
+    const char* message;
+  };
+  const Row rows[] = {
+      {"NaN", 17, std::nan(""), "atom 17 has a non-finite"},
+      {"+Inf", 0, inf, "atom 0 has a non-finite"},
+      {"-Inf", 2186, -inf, "atom 2186 has a non-finite"},
+  };
+  std::vector<int> all(static_cast<size_t>(water.num_atoms()));
+  std::iota(all.begin(), all.end(), 0);
+  ThreadPool pool(4);
+  for (const Row& row : rows) {
+    System sys = water;
+    sys.positions()[static_cast<size_t>(row.atom)].z = row.z;
+    const std::string name = row.name;
+    NeighborList fresh(6.5, 0.7);
+    expect_error(
+        [&] { fresh.build(sys.box(), sys.positions(), sys.topology()); },
+        row.message, name + ", serial first build");
+    NeighborList built(6.5, 0.7);
+    built.build(water.box(), water.positions(), water.topology(), &pool);
+    expect_error(
+        [&] {
+          built.build(sys.box(), sys.positions(), sys.topology(), &pool);
+        },
+        row.message, name + ", 4-thread rebuild");
+    RdfAccumulator rdf(6.5, 65);
+    expect_error([&] { rdf.add_frame(sys, all, all); }, row.message,
+                 name + ", RdfAccumulator::add_frame");
+  }
 }
 
 TEST(NeighborList, ExcludesTopologicalPairs) {
