@@ -1,9 +1,11 @@
-// Prints a bit-exact digest of the forces and energies of one deterministic
-// force evaluation.  Two builds that claim bitwise-identical physics — e.g.
-// the AVX2 and scalar SIMD backends, or different thread counts under
-// deterministic_forces — must print byte-identical output; scripts/check.sh
-// diffs this across the two backend trees as the cross-configuration parity
-// smoke test.
+// Prints bit-exact digests of the forces and energies of two force
+// evaluations: one under deterministic_forces, and one with the default
+// MdParams (the production path: tabulated pair kernel, double accumulation
+// at the given thread count).  Two builds that claim bitwise-identical
+// physics — e.g. the AVX2 and scalar SIMD backends at one thread count, or
+// different thread counts for the deterministic block — must print
+// byte-identical blocks; scripts/check.sh and CI diff this across the two
+// backend trees as the cross-configuration parity smoke test.
 //
 //   ./build/examples/force_hash [molecules=729] [threads=4] [seed=11]
 #include <cinttypes>
@@ -39,23 +41,9 @@ uint64_t bits_of(double v) {
   return b;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Config cfg = Config::from_args(argc, argv);
-  const int molecules = static_cast<int>(cfg.get_int("molecules", 729));
-  const int threads = static_cast<int>(cfg.get_int("threads", 4));
-  const uint64_t seed = static_cast<uint64_t>(cfg.get_int("seed", 11));
-
-  System sys = build_water_box(molecules, seed);
-  MdParams md;
-  md.cutoff = 9.0;
-  md.skin = 1.0;
-  md.tabulate_erfc = true;
-  md.deterministic_forces = true;
-  md.long_range = LongRangeMethod::kMesh;
-
-  ThreadPool pool(static_cast<unsigned>(threads));
+// One ForceCompute evaluation (short + long range) of `sys` under `md`.
+void print_digest(const char* title, const System& sys, const MdParams& md,
+                  ThreadPool& pool) {
   md::ForceCompute fc(sys.topology_ptr(), sys.box(), md, &pool);
   std::vector<Vec3> forces(static_cast<size_t>(sys.num_atoms()), Vec3{});
   fc.warm(sys.positions());
@@ -67,7 +55,7 @@ int main(int argc, char** argv) {
     d.add(f.y);
     d.add(f.z);
   }
-  std::printf("atoms %d threads %d\n", sys.num_atoms(), threads);
+  std::printf("[%s]\n", title);
   std::printf("force_digest %016" PRIx64 "\n", d.h);
   std::printf("f0 %016" PRIx64 " %016" PRIx64 " %016" PRIx64 "\n",
               bits_of(forces[0].x), bits_of(forces[0].y),
@@ -76,5 +64,23 @@ int main(int argc, char** argv) {
   std::printf("e_coul_real %016" PRIx64 "\n", bits_of(e.coulomb_real));
   std::printf("e_coul_kspace %016" PRIx64 "\n", bits_of(e.coulomb_kspace));
   std::printf("e_coul_excl %016" PRIx64 "\n", bits_of(e.coulomb_excl));
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Config cfg = Config::from_args(argc, argv);
+  const int molecules = static_cast<int>(cfg.get_int("molecules", 729));
+  const int threads = static_cast<int>(cfg.get_int("threads", 4));
+  const uint64_t seed = static_cast<uint64_t>(cfg.get_int("seed", 11));
+
+  const System sys = build_water_box(molecules, seed);
+  ThreadPool pool(static_cast<unsigned>(threads));
+  std::printf("atoms %d threads %d\n", sys.num_atoms(), threads);
+
+  MdParams deterministic;
+  deterministic.deterministic_forces = true;
+  print_digest("deterministic_forces", sys, deterministic, pool);
+  print_digest("default MdParams", sys, MdParams{}, pool);
   return 0;
 }

@@ -28,23 +28,8 @@ class Fixed {
   // (casting an out-of-range double to int64_t is undefined behaviour; the
   // hardware datapath this models clamps).  NaN maps to zero.
   static constexpr Fixed from_double(double v) {
-    Fixed f;
-    const double scaled =
-        v * kScale + (v >= 0 ? 0.5 : -0.5);  // anton-lint: allow(fixed-literal)
-    // 2^63 is exactly representable as a double; any scaled value >= it (or
-    // < -2^63) would overflow the cast.
-    constexpr double kRail =
-        static_cast<double>(std::numeric_limits<int64_t>::max());
-    if (!(scaled == scaled)) {
-      f.raw_ = 0;
-    } else if (scaled >= kRail) {
-      f.raw_ = std::numeric_limits<int64_t>::max();
-    } else if (scaled < -kRail) {
-      f.raw_ = std::numeric_limits<int64_t>::min();
-    } else {
-      f.raw_ = static_cast<int64_t>(scaled);
-    }
-    return f;
+    bool saturated = false;
+    return convert(v, saturated);
   }
   static constexpr Fixed from_raw(int64_t raw) {
     Fixed f;
@@ -70,6 +55,21 @@ class Fixed {
                                 static_cast<uint64_t>(o.raw_));
     return *this;
   }
+  // Checked forms of += and of += from_double(v): the same bits, plus a
+  // return value that is true when the sum lost the value — the addition
+  // wrapped, or v saturated at a rail of the format.
+  constexpr bool add_checked(const Fixed& o) {
+    const uint64_t a = static_cast<uint64_t>(raw_);
+    const uint64_t b = static_cast<uint64_t>(o.raw_);
+    const uint64_t sum = a + b;
+    raw_ = static_cast<int64_t>(sum);
+    return (((a ^ sum) & (b ^ sum)) >> 63) != 0;
+  }
+  constexpr bool add_checked(double v) {
+    bool saturated = false;
+    const Fixed q = convert(v, saturated);
+    return add_checked(q) | saturated;
+  }
   friend constexpr Fixed operator+(Fixed a, const Fixed& b) { return a += b; }
   friend constexpr Fixed operator-(Fixed a, const Fixed& b) { return a -= b; }
   friend constexpr bool operator==(const Fixed& a, const Fixed& b) {
@@ -82,6 +82,29 @@ class Fixed {
   }
 
  private:
+  // from_double, also setting `saturated` when v lands on a rail.
+  static constexpr Fixed convert(double v, bool& saturated) {
+    Fixed f;
+    const double scaled =
+        v * kScale + (v >= 0 ? 0.5 : -0.5);  // anton-lint: allow(fixed-literal)
+    // 2^63 is exactly representable as a double; any scaled value >= it (or
+    // < -2^63) would overflow the cast.
+    constexpr double kRail =
+        static_cast<double>(std::numeric_limits<int64_t>::max());
+    if (!(scaled == scaled)) {
+      f.raw_ = 0;
+    } else if (scaled >= kRail) {
+      f.raw_ = std::numeric_limits<int64_t>::max();
+      saturated = true;
+    } else if (scaled < -kRail) {
+      f.raw_ = std::numeric_limits<int64_t>::min();
+      saturated = true;
+    } else {
+      f.raw_ = static_cast<int64_t>(scaled);
+    }
+    return f;
+  }
+
   static constexpr double kScale = static_cast<double>(int64_t{1} << FracBits);
   int64_t raw_ = 0;
 };
@@ -92,10 +115,6 @@ template <int FracBits = 32>
 struct FixedVec3 {
   Fixed<FracBits> x, y, z;
 
-  static FixedVec3 from_vec3(const Vec3& v) {
-    return {Fixed<FracBits>::from_double(v.x), Fixed<FracBits>::from_double(v.y),
-            Fixed<FracBits>::from_double(v.z)};
-  }
   Vec3 to_vec3() const { return {x.to_double(), y.to_double(), z.to_double()}; }
 
   FixedVec3& operator+=(const FixedVec3& o) {
@@ -106,7 +125,15 @@ struct FixedVec3 {
     return a.x == b.x && a.y == b.y && a.z == b.z;
   }
 
-  void accumulate(const Vec3& v) { *this += from_vec3(v); }
+  // Adds each lane's Fixed::from_double quantization of v; returns true when
+  // a lane lost the value (see Fixed::add_checked).  All three lanes add.
+  bool accumulate(const Vec3& v) {
+    return x.add_checked(v.x) | y.add_checked(v.y) | z.add_checked(v.z);
+  }
+  // The same for a fixed-point addend.
+  bool add_checked(const FixedVec3& o) {
+    return x.add_checked(o.x) | y.add_checked(o.y) | z.add_checked(o.z);
+  }
 };
 
 using ForceFixed = FixedVec3<32>;

@@ -15,14 +15,22 @@ void PairPass::rebin(const Box& box, std::span<const Vec3> positions) {
   ANTON_CHECK_MSG(rc_ <= box.max_cutoff(),
                   "pair radius " << rc_ << " exceeds minimum-image limit "
                                  << box.max_cutoff());
-  // A NaN or infinite coordinate would bin to a garbage cell or node.
+  // A NaN or infinite coordinate would bin to a garbage cell or node, and so
+  // would a finite but huge one: at |x| ~ 1e18 Å, Box::wrap's
+  // x - L floor(x / L) rounds by more than a box length.  Within 2^20 box
+  // lengths of the origin it is exact to ~L 2^-32.  One comparison per axis
+  // rejects all three (NaN fails every comparison).
   ANTON_CHECK_MSG(!positions.empty(), "the system has no atoms");
+  const Vec3 limit = box.lengths() * 0x1p20;
   for (size_t i = 0; i < positions.size(); ++i) {
     const Vec3& p = positions[i];
-    ANTON_CHECK_MSG(
-        std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z),
-        "atom " << i << " has a non-finite position (" << p.x << ", " << p.y
-                << ", " << p.z << ")");
+    ANTON_CHECK_MSG(std::abs(p.x) <= limit.x && std::abs(p.y) <= limit.y &&
+                        std::abs(p.z) <= limit.z,
+                    "atom " << i
+                            << " has a non-finite or out-of-range position ("
+                            << p.x << ", " << p.y << ", " << p.z
+                            << "): each coordinate must lie within 2^20 box "
+                               "lengths of the origin");
   }
   grid_ = CellGrid(box, rc_);
   all_pairs_ = grid_.nx() < 3 || grid_.ny() < 3 || grid_.nz() < 3;

@@ -1,6 +1,7 @@
 #include "md/nonbonded.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/error.h"
@@ -30,7 +31,10 @@ constexpr size_t kSerialThreshold = 2048;
 //     32.32 fixed point at accumulation.  Fixed addition is exactly
 //     associative and commutative, so the reduced result is bitwise
 //     identical for ANY thread count and chunking (the property Anton's
-//     hardware adders provide by construction).
+//     hardware adders provide by construction).  A contribution beyond the
+//     format's range, or a sum that wraps, sets the partial's sticky
+//     overflow flag, which the caller turns into an error after the
+//     reduction.
 struct DoubleAcc {
   std::span<Vec3> f;
   PairEnergyPartial e{};
@@ -61,13 +65,12 @@ struct FixedAcc {
 
   void begin_atom(size_t) {}
   void end_atom(size_t) {}
-  void add_lj(double de) { e.lj += Fixed<32>::from_double(de); }
-  void add_coul(double de) { e.coul += Fixed<32>::from_double(de); }
-  void add_excl(double de) { e.excl += Fixed<32>::from_double(de); }
+  void add_lj(double de) { e.overflow |= e.lj.add_checked(de); }
+  void add_coul(double de) { e.overflow |= e.coul.add_checked(de); }
+  void add_excl(double de) { e.overflow |= e.excl.add_checked(de); }
   void add_pair(size_t i, size_t j, const Vec3& fv, double vir) {
-    e.virial += Fixed<32>::from_double(vir);
-    f[i].accumulate(fv);
-    f[j].accumulate(-fv);
+    e.overflow |= e.virial.add_checked(vir) | f[i].accumulate(fv) |
+                  f[j].accumulate(-fv);
   }
   void add_pair_direct(size_t i, size_t j, const Vec3& fv, double vir) {
     add_pair(i, j, fv, vir);
@@ -90,7 +93,8 @@ struct FixedAcc {
 //     extracted and quantized to 32.32 fixed point individually, in lane
 //     order, exactly as the scalar kernel quantizes per pair.  Fixed
 //     addition is exactly associative, so the result is bitwise identical
-//     for any thread count AND any backend.
+//     for any thread count AND any backend.  Overflow is flagged as in
+//     FixedAcc.
 struct DoubleBatchAcc {
   std::span<Vec3> f;
   PairEnergyPartial e{};
@@ -172,21 +176,20 @@ struct FixedBatchAcc {
     vir.storeu(bvir);
     // Per-lane quantization in lane order: bitwise identical to the scalar
     // kernel's per-pair quantization (and exactly associative thereafter).
+    bool overflow = false;
     for (int l = 0; l < cnt; ++l) {
-      e.lj += Fixed<32>::from_double(blj[l]);
-      e.coul += Fixed<32>::from_double(bec[l]);
-      e.virial += Fixed<32>::from_double(bvir[l]);
       const Vec3 fv{bx[l], by[l], bz[l]};
-      f[i].accumulate(fv);
-      f[static_cast<size_t>(j[l])].accumulate(-fv);
+      overflow |= e.lj.add_checked(blj[l]) | e.coul.add_checked(bec[l]) |
+                  e.virial.add_checked(bvir[l]) |
+                  f[i].accumulate(fv) |
+                  f[static_cast<size_t>(j[l])].accumulate(-fv);
     }
+    e.overflow |= overflow;
   }
   void add_scalar(size_t i, size_t j, const Vec3& fv, double e_c,
                   double vir) {
-    e.coul += Fixed<32>::from_double(e_c);
-    e.virial += Fixed<32>::from_double(vir);
-    f[i].accumulate(fv);
-    f[j].accumulate(-fv);
+    e.overflow |= e.coul.add_checked(e_c) | e.virial.add_checked(vir) |
+                  f[i].accumulate(fv) | f[j].accumulate(-fv);
   }
   void finish() {}
 };
@@ -255,12 +258,9 @@ void pair_kernel_simd(const Box& box, const ForceWorkspace& ws,
 
   // Neighbors are processed in staged segments of kSeg: a first pass over
   // the segment computes min-image displacements, r² and the clamped table
-  // record offsets, and issues prefetches for the Hermite records; the
-  // second pass consumes the staged values and finds the records in cache.
-  // The fused table (MBs at the default accuracy bound) misses L2 on nearly
-  // every lookup, so without the distance-kSeg prefetch the kernel is
-  // latency-bound on those misses.  Staging changes no arithmetic and no
-  // accumulation order: every value is stored and reloaded bit-exactly.
+  // record offsets; the second pass consumes the staged values.  Staging
+  // changes no arithmetic and no accumulation order: every value is stored
+  // and reloaded bit-exactly.
   constexpr int kSeg = 64;
   alignas(32) double sdx[kSeg], sdy[kSeg], sdz[kSeg], sr2[kSeg], sqj[kSeg];
   alignas(16) int sj[kSeg];    // padded neighbor indices
@@ -286,7 +286,7 @@ void pair_kernel_simd(const Box& box, const ForceWorkspace& ws,
           std::min(nn - seg, static_cast<size_t>(kSeg)));
       const int* jseg = jp + seg;
 
-      // Pass 1: distances and table offsets, with table prefetch.
+      // Pass 1: distances and table offsets.
       for (int c = 0; c < seg_n; c += W) {
         const int cnt = seg_n - c < W ? seg_n - c : W;
         // Pad the tail with a valid index so record loads stay in-range;
@@ -322,11 +322,6 @@ void pair_kernel_simd(const Box& box, const ForceWorkspace& ws,
         const VecI k = min(max(truncate(s), vi_zero), vi_nmax);
         const VecI node = k * vi_four;
         node.storeu(snode + c);
-        for (int l = 0; l < W; ++l) {
-          // Both Hermite records (node and node+4, 64 bytes) for this lane.
-          simd::prefetch(tab_base + snode[c + l]);
-          simd::prefetch(tab_base + snode[c + l] + 7);
-        }
       }
 
       // Pass 2: LJ + tabulated Coulomb on the staged chunks.
@@ -363,9 +358,8 @@ void pair_kernel_simd(const Box& box, const ForceWorkspace& ws,
         }
 
         // Screened Coulomb via the fused cubic-Hermite table: one staged
-        // record offset, two record loads (prefetched in pass 1), one
-        // shared basis.  qq == 0 lanes produce exact zeros through the
-        // final multiply.
+        // record offset, two record loads, one shared basis.  qq == 0 lanes
+        // produce exact zeros through the final multiply.
         const VecD qq = qi * VecD::loadu(sqj + c);
         const VecD s = (r2 - v_x0) * v_inv_h;
         const VecI k = min(max(truncate(s), vi_zero), vi_nmax);
@@ -564,25 +558,47 @@ void reduce_thread_forces(ThreadPool* pool, ForceWorkspace* ws, unsigned T,
 
 // Fixed-point twin: sums the per-thread fixed accumulators exactly (order
 // cannot matter), converts once to double, and zero-restores the buffers.
-void reduce_thread_forces_fixed(ThreadPool* pool, ForceWorkspace* ws,
-                                unsigned T, std::span<Vec3> forces) {
+// Returns the energy partials summed over threads, with their overflow flag
+// also set when a cross-thread force sum wrapped.
+PairEnergyPartialFixed reduce_thread_forces_fixed(ThreadPool* pool,
+                                                  ForceWorkspace* ws,
+                                                  unsigned T,
+                                                  std::span<Vec3> forces) {
   ANTON_HOT_NOALLOC();
+  std::atomic<bool> wrapped{false};
   auto fold = [&](size_t b, size_t e) {
+    bool w = false;
     for (size_t i = b; i < e; ++i) {
       ForceFixed sum{};
       for (unsigned t = 0; t < T; ++t) {
         auto buf = ws->thread_force_fixed(t);
-        sum += buf[i];
+        w |= sum.add_checked(buf[i]);
         buf[i] = ForceFixed{};
       }
       forces[i] += sum.to_vec3();
     }
+    if (w) wrapped.store(true, std::memory_order_relaxed);
   };
   if (pool != nullptr) {
     pool->parallel_for(forces.size(), fold);
   } else {
     fold(0, forces.size());
   }
+  PairEnergyPartialFixed e{};
+  for (unsigned t = 0; t < T; ++t) e += ws->partial_fixed(t);
+  e.overflow |= wrapped.load(std::memory_order_relaxed);
+  return e;
+}
+
+// Raised after a fixed-point reduction that lost a value: the result would
+// be silently clamped or wrapped, so no part of it is returned.
+void check_fixed_range(const PairEnergyPartialFixed& e, const char* what) {
+  ANTON_CHECK_MSG(!e.overflow,
+                  what << ": a force, energy or virial term left the 32.32 "
+                          "fixed-point range of deterministic_forces (|value| "
+                          "< 2^31 = "
+                       << Fixed<32>::max_magnitude()
+                       << "); the input likely has atoms in a clash");
 }
 
 }  // namespace
@@ -603,13 +619,12 @@ void compute_nonbonded(const Box& box, const Topology& top,
   ForceWorkspace local;
   if (ws == nullptr) ws = &local;
   ws->build_cache(top, alpha, cutoff, shift_at_cutoff, tabulate_erfc);
-  const bool use_table = tabulate_erfc && alpha > 0 && ws->tables_ready();
 
   const auto types = top.types();
   const auto charges = top.charges();
   // The vectorized kernel reads per-neighbor [x y z q] records from the
   // workspace's interleaved staging.
-  if (use_table) ws->stage_positions(pos, charges);
+  if (tabulate_erfc) ws->stage_positions(pos, charges);
 
   if (deterministic) {
     // Fixed-point accumulation: any chunking gives the same bits, so serial
@@ -618,7 +633,7 @@ void compute_nonbonded(const Box& box, const Topology& top,
         (pool == nullptr || n < kSerialThreshold) ? 1 : pool->size();
     ws->ensure_fixed_threads(T, n);
     auto run_fixed = [&](size_t begin, size_t end, unsigned t) {
-      if (use_table) {
+      if (tabulate_erfc) {
         FixedBatchAcc acc{ws->thread_force_fixed(t)};
         pair_kernel_simd(box, *ws, nlist, types, charges, alpha, cutoff2,
                          begin, end, acc);
@@ -660,9 +675,9 @@ void compute_nonbonded(const Box& box, const Topology& top,
           thread_stat->add(obs::wall_seconds() - w0);
       });
     }
-    reduce_thread_forces_fixed(T > 1 ? pool : nullptr, ws, T, forces);
-    PairEnergyPartialFixed e{};
-    for (unsigned t = 0; t < T; ++t) e += ws->partial_fixed(t);
+    const PairEnergyPartialFixed e =
+        reduce_thread_forces_fixed(T > 1 ? pool : nullptr, ws, T, forces);
+    check_fixed_range(e, "compute_nonbonded");
     energy.lj += e.lj.to_double();
     energy.coulomb_real += e.coul.to_double();
     energy.virial += e.virial.to_double();
@@ -671,7 +686,7 @@ void compute_nonbonded(const Box& box, const Topology& top,
 
   auto run = [&](size_t begin, size_t end,
                  std::span<Vec3> f) -> PairEnergyPartial {
-    if (use_table) {
+    if (tabulate_erfc) {
       DoubleBatchAcc acc{f};
       pair_kernel_simd(box, *ws, nlist, types, charges, alpha, cutoff2, begin,
                        end, acc);
@@ -767,9 +782,9 @@ void compute_excluded_correction(const Box& box, const Topology& top,
         }
       });
     }
-    reduce_thread_forces_fixed(T > 1 ? pool : nullptr, ws, T, forces);
-    PairEnergyPartialFixed e{};
-    for (unsigned t = 0; t < T; ++t) e += ws->partial_fixed(t);
+    const PairEnergyPartialFixed e =
+        reduce_thread_forces_fixed(T > 1 ? pool : nullptr, ws, T, forces);
+    check_fixed_range(e, "compute_excluded_correction");
     energy.coulomb_excl += e.excl.to_double();
     energy.virial += e.virial.to_double();
     return;

@@ -25,7 +25,8 @@ namespace anton::md {
 //
 // Electrostatics mode:
 //   - alpha > 0: erfc(alpha r)/r screened Coulomb (Ewald real-space part)
-//   - alpha == 0: plain cutoff Coulomb (LongRangeMethod::kNone)
+//   - alpha == 0: plain cutoff Coulomb (LongRangeMethod::kNone), the same
+//     expressions at erfc(0) = 1
 //
 // With shift_at_cutoff, each pair's LJ and Coulomb energies are shifted so
 // they vanish at the cutoff (forces unchanged) — the conserved quantity is
@@ -33,14 +34,17 @@ namespace anton::md {
 //
 // Passing a ForceWorkspace makes steady-state evaluation allocation-free:
 // the premixed LJ type-pair table, prescaled charges, per-thread buffers and
-// (optionally) the tabulated erfc kernel all persist in it.  Without one, a
-// temporary workspace is built per call (convenient for tests).  With
-// tabulate_erfc (and alpha > 0), per-pair std::erfc/std::exp are replaced by
+// the erfc table all persist in it.  Without one, a temporary workspace is
+// built per call (convenient for tests).  With tabulate_erfc (the default),
+// the vectorized kernel replaces per-pair std::erfc/std::exp by
 // cubic-Hermite table lookups in r²; accuracy is bounded by the workspace's
-// table build (see ForceWorkspace::build_cache).
+// table build (see ForceWorkspace::build_cache).  tabulate_erfc = false runs
+// the exact scalar kernel, the reference the tests compare against.
 // With deterministic, every per-pair contribution is quantized to 32.32
 // fixed point before accumulation (MdParams::deterministic_forces): the
 // result is bitwise identical across ALL thread counts, serial included.
+// A contribution or a sum beyond the format's ±2^31 range raises
+// anton::Error rather than saturating or wrapping silently.
 // With thread_stat, each worker records the wall-clock seconds of its own
 // chunk of the threaded pair loop — the spread of that stat is the load
 // imbalance across threads.
@@ -50,7 +54,7 @@ void compute_nonbonded(const Box& box, const Topology& top,
                        EnergyReport& energy, ThreadPool* pool = nullptr,
                        bool shift_at_cutoff = false,
                        ForceWorkspace* ws = nullptr,
-                       bool tabulate_erfc = false,
+                       bool tabulate_erfc = true,
                        bool deterministic = false,
                        obs::Stat* thread_stat = nullptr);
 
@@ -62,7 +66,8 @@ double ewald_self_energy(const Topology& top, double alpha);
 // screening charges: E -= C q_i q_j erf(alpha r)/r, with matching forces.
 // With a pool and workspace the atom loop runs threaded over the same
 // per-thread buffers as compute_nonbonded (deterministic for a fixed thread
-// count).
+// count).  With deterministic, a fixed-point overflow raises anton::Error as
+// in compute_nonbonded.
 void compute_excluded_correction(const Box& box, const Topology& top,
                                  std::span<const Vec3> pos, double alpha,
                                  std::span<Vec3> forces, EnergyReport& energy,

@@ -12,6 +12,9 @@ namespace {
 
 constexpr double kTwoOverSqrtPi = 1.1283791670955126;
 
+// Refinement stops here even if the accuracy bound is not yet met.
+constexpr int kMaxTableNodes = 1 << 17;
+
 // Screened-Coulomb energy per unit qq as a function of r²:
 //   E(r²) = erfc(alpha r) / r.
 double erfc_energy_r2(double alpha, double r2) {
@@ -47,10 +50,9 @@ void ForceWorkspace::build_cache(const Topology& top, double alpha,
   const ForceField& ff = top.forcefield();
   const int ntypes = ff.num_types();
   const size_t n = static_cast<size_t>(top.num_atoms());
-  const bool want_tables = tabulate_erfc && alpha > 0;
   if (cache_ready_ && ntypes_ == ntypes && q_scaled_.size() == n &&
       cache_alpha_ == alpha && cache_cutoff_ == cutoff &&
-      cache_shift_ == shift_at_cutoff && tables_ready_ == want_tables) {
+      cache_shift_ == shift_at_cutoff && tables_ready_ == tabulate_erfc) {
     return;
   }
 
@@ -90,53 +92,61 @@ void ForceWorkspace::build_cache(const Topology& top, double alpha,
   q_scaled_.resize(n);
   for (size_t i = 0; i < n; ++i) q_scaled_[i] = units::kCoulomb * charges[i];
 
-  coul_shift_ = shift_at_cutoff
-                    ? (alpha > 0 ? std::erfc(alpha * cutoff) / cutoff
-                                 : 1.0 / cutoff)
-                    : 0.0;
+  // At alpha = 0, erfc(0) = 1 makes this the plain-cutoff shift 1/rc.
+  coul_shift_ = shift_at_cutoff ? std::erfc(alpha * cutoff) / cutoff : 0.0;
 
   tables_ready_ = false;
   table_max_rel_err_ = 0;
-  if (want_tables) {
-    // Tabulate over r² so the kernel needs no sqrt.  Pairs can in principle
-    // approach closer than the table floor during bad initial geometry; the
-    // kernel falls back to the analytic form below table_r2_min().
-    table_r2_min_ = 0.25;  // r = 0.5 Å
+  if (tabulate_erfc) {
+    // Tabulate over r² so the kernel needs no sqrt.  Pairs closer than the
+    // 1 Å floor (bad initial geometry only) take the kernel's exact
+    // per-lane fallback.  At alpha = 0 the expressions reduce to 1/r and
+    // 1/r³, so plain cutoff Coulomb runs on the same table.
+    table_r2_min_ = 1.0;
+    const double x0 = table_r2_min_;
     const double x1 = cutoff2;
-    auto e_fn = [alpha](double x) { return erfc_energy_r2(alpha, x); };
-    auto e_dfn = [alpha](double x) { return -0.5 * erfc_force_r2(alpha, x); };
-    auto f_fn = [alpha](double x) { return erfc_force_r2(alpha, x); };
-    auto f_dfn = [alpha](double x) { return erfc_force_deriv_r2(alpha, x); };
+    auto node = [alpha](double x) -> CoulNode {
+      const double f = erfc_force_r2(alpha, x);
+      return {erfc_energy_r2(alpha, x), -0.5 * f, f,
+              erfc_force_deriv_r2(alpha, x)};
+    };
     // Refine by node doubling until the measured midpoint error meets the
-    // accuracy bound.
-    for (int nodes = 2048; nodes <= (1 << 17); nodes *= 2) {
-      coul_e_.build(table_r2_min_, x1, nodes, e_fn, e_dfn);
-      coul_f_.build(table_r2_min_, x1, nodes, f_fn, f_dfn);
+    // accuracy bound.  Each midpoint interpolant is evaluated from node
+    // values made on the fly, so refinement stores nothing; the fused array
+    // is allocated once, at the converged size.
+    int n_nodes = 2048;
+    for (;; n_nodes *= 2) {
+      const double h = (x1 - x0) / (n_nodes - 1);
       double max_rel = 0;
-      const double h = (x1 - table_r2_min_) / (nodes - 1);
-      for (int k = 0; k + 1 < nodes; ++k) {
-        const double x = table_r2_min_ + (k + 0.5) * h;
-        const double ee = e_fn(x), fe = f_fn(x);
-        max_rel = std::max(max_rel, std::abs(coul_e_(x) - ee) /
-                                        std::max(std::abs(ee), 1e-300));
-        max_rel = std::max(max_rel, std::abs(coul_f_(x) - fe) /
-                                        std::max(std::abs(fe), 1e-300));
+      CoulNode a = node(x0);
+      for (int k = 0; k + 1 < n_nodes; ++k) {
+        const CoulNode b = node(x0 + (k + 1) * h);
+        const double x = x0 + (k + 0.5) * h;
+        const double t = (x - x0) * (1.0 / h) - k;
+        const double t2 = t * t;
+        const double t3 = t2 * t;
+        const double h00 = 2 * t3 - 3 * t2 + 1;
+        const double h10 = (t3 - 2 * t2 + t) * h;
+        const double h01 = -2 * t3 + 3 * t2;
+        const double h11 = (t3 - t2) * h;
+        const double ee = erfc_energy_r2(alpha, x);
+        const double fe = erfc_force_r2(alpha, x);
+        const double ei = h00 * a.ev + h10 * a.ed + h01 * b.ev + h11 * b.ed;
+        const double fi = h00 * a.fv + h10 * a.fd + h01 * b.fv + h11 * b.fd;
+        max_rel = std::max(max_rel,
+                           std::abs(ei - ee) / std::max(std::abs(ee), 1e-300));
+        max_rel = std::max(max_rel,
+                           std::abs(fi - fe) / std::max(std::abs(fe), 1e-300));
+        a = b;
       }
       table_max_rel_err_ = max_rel;
-      if (max_rel <= table_target_err) break;
+      if (max_rel <= table_target_err || n_nodes == kMaxTableNodes) break;
     }
-    // Pack the converged node set into the fused interleaved layout used by
-    // the pair kernel.  Samples are recomputed with the exact expressions the
-    // CubicTable build used, so the node values are bitwise identical and the
-    // measured accuracy bound transfers.
-    const int n_nodes = coul_e_.num_nodes();
-    ef_h_ = (x1 - table_r2_min_) / (n_nodes - 1);
+    ef_h_ = (x1 - x0) / (n_nodes - 1);
     ef_inv_h_ = 1.0 / ef_h_;
     ef_nodes_.resize(static_cast<size_t>(n_nodes));
     for (int k = 0; k < n_nodes; ++k) {
-      const double x = table_r2_min_ + k * ef_h_;
-      ef_nodes_[static_cast<size_t>(k)] = {e_fn(x), e_dfn(x), f_fn(x),
-                                           f_dfn(x)};
+      ef_nodes_[static_cast<size_t>(k)] = node(x0 + k * ef_h_);
     }
     tables_ready_ = true;
   }

@@ -13,7 +13,8 @@
 //   - a dense premixed Lennard-Jones type-pair table (Lorentz–Berthelot
 //     applied once, with the cutoff energy shift folded in),
 //   - the Coulomb-prescaled charge array,
-//   - optional cubic-Hermite tables for the erfc screened-Coulomb kernel.
+//   - the fused cubic-Hermite table of the screened-Coulomb kernel (one
+//     array, 16,384 nodes = 512 KB at the default accuracy bound).
 #pragma once
 
 #include <span>
@@ -21,7 +22,6 @@
 
 #include "chem/topology.h"
 #include "common/fixed_point.h"
-#include "common/table.h"
 #include "common/vec3.h"
 
 namespace anton::md {
@@ -37,14 +37,15 @@ struct PairEnergyPartial {
 // Fixed-point per-thread partials for the deterministic accumulation mode:
 // each pair contribution is quantized once, so the cross-thread sum is
 // exactly associative and the result independent of thread count.
+// `overflow` is sticky: it is set when a contribution saturated or a sum
+// wrapped, in this partial's thread or in a partial added into it.
 struct PairEnergyPartialFixed {
   Fixed<32> lj, coul, excl, virial;
+  bool overflow = false;
 
   PairEnergyPartialFixed& operator+=(const PairEnergyPartialFixed& o) {
-    lj += o.lj;
-    coul += o.coul;
-    excl += o.excl;
-    virial += o.virial;
+    overflow |= o.overflow | lj.add_checked(o.lj) | coul.add_checked(o.coul) |
+                excl.add_checked(o.excl) | virial.add_checked(o.virial);
     return *this;
   }
 };
@@ -70,9 +71,7 @@ struct CoulNode {
 };
 
 // Non-owning view of the fused table, sized for register-resident use in the
-// inner pair loop.  Node values are bitwise identical to the standalone
-// CubicTable pair (coul_e/coul_f), so the accuracy bound measured there
-// applies to this view too.
+// inner pair loop.  Nodes sit at r² = x0 + k h for k in [0, n).
 struct CoulTableView {
   const CoulNode* nodes = nullptr;
   double x0 = 0, h = 1, inv_h = 1;
@@ -81,13 +80,16 @@ struct CoulTableView {
 
 class ForceWorkspace {
  public:
-  // Builds the per-system caches (LJ table, scaled charges, erfc tables).
+  // Builds the per-system caches (LJ table, scaled charges, erfc table).
   // Idempotent for identical (topology size, alpha, cutoff, shift, tabulate)
   // inputs, so callers may invoke it on every evaluation.
   //
-  // When tabulate_erfc is set (and alpha > 0), the erfc energy/force tables
-  // are refined by node doubling until their measured max relative error on
-  // interval midpoints is <= table_target_err (the accuracy bound).
+  // When tabulate_erfc is set, the fused erfc energy/force table over
+  // r² in [1, cutoff²] is refined by node doubling from 2,048 nodes until
+  // its measured max relative error on interval midpoints is <=
+  // table_target_err (the accuracy bound); alpha = 0 tabulates plain
+  // 1/r Coulomb.  Refinement evaluates the midpoints from node values made
+  // on the fly, so the table is allocated once, at its converged size.
   void build_cache(const Topology& top, double alpha, double cutoff,
                    bool shift_at_cutoff, bool tabulate_erfc,
                    double table_target_err = 1e-9);
@@ -122,14 +124,12 @@ class ForceWorkspace {
   double coul_shift() const { return coul_shift_; }
 
   bool tables_ready() const { return tables_ready_; }
-  const CubicTable& coul_e() const { return coul_e_; }
-  const CubicTable& coul_f() const { return coul_f_; }
   CoulTableView coul_ef() const {
     return {ef_nodes_.data(), table_r2_min_, ef_h_, ef_inv_h_,
             static_cast<int>(ef_nodes_.size())};
   }
   double table_r2_min() const { return table_r2_min_; }
-  // Max relative error of the erfc tables measured at build time.
+  // Max relative error of the erfc table measured at build time.
   double table_max_rel_err() const { return table_max_rel_err_; }
 
   unsigned num_threads() const {
@@ -161,7 +161,6 @@ class ForceWorkspace {
   bool cache_shift_ = false;
   bool cache_ready_ = false;
 
-  CubicTable coul_e_, coul_f_;
   std::vector<CoulNode> ef_nodes_;
   double ef_h_ = 1, ef_inv_h_ = 1;
   double table_r2_min_ = 0;

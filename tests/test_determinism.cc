@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "chem/builder.h"
@@ -104,6 +105,51 @@ TEST(Determinism, TabulatedBitwiseIdenticalForcesAcross1_2_4_8Threads) {
     ForceWorkspace ws;
     const ShortRange par = eval_tabulated(&pool, &ws);
     expect_bitwise_equal(serial, par);
+  }
+}
+
+// A clash drives a pair term past the 32.32 range (±2^31): atom 3 (water 1's
+// oxygen) 0.3 Å from atom 0 (water 0's oxygen) has an exact LJ energy of
+// +1.1e12 kcal/mol and F0.x of -4.4e13.  Fixed point used to clamp those at
+// ±2.1e9 (the table path even flipped F0.x's sign) and return with no
+// error; it must raise instead, serially and threaded, tables on and off.
+// The 4-thread rows use 729 waters (2,187 atoms), above the serial-fallback
+// threshold, so the per-thread buffers and their reduction run.
+TEST(Determinism, FixedPointOverflowRaises) {
+  struct Row {
+    int molecules;
+    unsigned threads;
+    bool tabulate;
+  };
+  for (const Row row : {Row{216, 1, true}, Row{216, 1, false},
+                        Row{729, 4, true}, Row{729, 4, false}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << row.molecules << " waters, " << row.threads
+                 << " threads, tabulate_erfc " << row.tabulate);
+    System sys = build_water_box(row.molecules, 5);
+    sys.positions()[3] = sys.positions()[0] + Vec3{0.3, 0.0, 0.0};
+    NeighborList nlist(6.5, 0.7);
+    nlist.build(sys.box(), sys.positions(), sys.topology());
+    ThreadPool pool(row.threads);
+    ThreadPool* tp = row.threads > 1 ? &pool : nullptr;
+    ForceWorkspace ws;
+    std::vector<Vec3> f(static_cast<size_t>(sys.num_atoms()));
+    EnergyReport e;
+    compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(), 0.35,
+                      f, e, tp, /*shift_at_cutoff=*/true, &ws, row.tabulate,
+                      /*deterministic=*/false);
+    EXPECT_GT(e.lj, 1e12);
+    EXPECT_LT(f[0].x, -1e13);
+    try {
+      compute_nonbonded(sys.box(), sys.topology(), nlist, sys.positions(),
+                        0.35, f, e, tp, /*shift_at_cutoff=*/true, &ws,
+                        row.tabulate, /*deterministic=*/true);
+      ADD_FAILURE() << "no anton::Error";
+    } catch (const Error& err) {
+      EXPECT_NE(std::string(err.what()).find("32.32 fixed-point range"),
+                std::string::npos)
+          << err.what();
+    }
   }
 }
 

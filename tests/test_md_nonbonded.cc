@@ -164,10 +164,12 @@ TEST(NeighborList, RebuildInNewBoxMatchesFreshList) {
 
 TEST(NeighborList, DegenerateInputRejected) {
   // A non-finite coordinate used to bin to a garbage cell: a signed
-  // overflow in CellGrid::cell_of, then an out-of-bounds read.  The list
-  // and the RDF reach the pair pass's check, which names the atom: a
-  // first build on constructing the pass, a rebuild on re-binning it.
-  // 2,187 atoms take the threaded build with the pool.
+  // overflow in CellGrid::cell_of, then an out-of-bounds read.  A finite
+  // but huge one (|z| ~ 1e18 Å) wrapped out of the box, so it binned out of
+  // range or into the wrong cell.  The list and the RDF reach the pair
+  // pass's check, which names the atom: a first build on constructing the
+  // pass, a rebuild on re-binning it.  2,187 atoms take the threaded build
+  // with the pool.
   const System water = build_water_box(729, 72, -1);
   const double inf = std::numeric_limits<double>::infinity();
   struct Row {
@@ -180,6 +182,8 @@ TEST(NeighborList, DegenerateInputRejected) {
       {"NaN", 17, std::nan(""), "atom 17 has a non-finite"},
       {"+Inf", 0, inf, "atom 0 has a non-finite"},
       {"-Inf", 2186, -inf, "atom 2186 has a non-finite"},
+      {"4.49e18", 5, 4.49e18, "atom 5 has a non-finite or out-of-range"},
+      {"-1.12e18", 9, -1.12e18, "atom 9 has a non-finite or out-of-range"},
   };
   std::vector<int> all(static_cast<size_t>(water.num_atoms()));
   std::iota(all.begin(), all.end(), 0);

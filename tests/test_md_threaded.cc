@@ -204,7 +204,7 @@ TEST(Threaded, NeedsRebuildMatchesSerial) {
   EXPECT_TRUE(nlist.needs_rebuild(sys.box(), moved, &pool));
 }
 
-// tabulate_erfc=true sends both modes through the vectorized pair kernel:
+// The default MdParams send both modes through the vectorized pair kernel:
 // the SoA position staging and lane buffers live in ForceWorkspace (sized at
 // warm-up, not per call), so the steady state stays allocation-free for the
 // double-batch path and the deterministic fixed-point-batch path alike.
@@ -213,7 +213,6 @@ TEST(Threaded, SteadyStateShortRangeIsAllocationFree) {
   p.cutoff = 6.5;
   p.skin = 0.7;
   p.long_range = LongRangeMethod::kMesh;
-  p.tabulate_erfc = true;
   for (const bool deterministic : {false, true}) {
     SCOPED_TRACE(deterministic ? "deterministic" : "fast");
     p.deterministic_forces = deterministic;
@@ -251,7 +250,6 @@ TEST(Threaded, SteadyStateLongRangeIsAllocationFree) {
   p.cutoff = 6.5;
   p.skin = 0.7;
   p.long_range = LongRangeMethod::kMesh;
-  p.tabulate_erfc = true;
   for (const bool deterministic : {false, true}) {
     SCOPED_TRACE(deterministic ? "deterministic" : "fast");
     p.deterministic_forces = deterministic;

@@ -315,8 +315,9 @@ System empty_like(const System& sys) {
 
 TEST(Workload, DegenerateInputRejected) {
   // A non-finite coordinate used to bin to a garbage node (an out-of-bounds
-  // write), and an empty system estimated a finite rate.  Both are
-  // rejected before any binning, on the path that Workload::build and
+  // write), so did a finite but huge one (|z| ~ 1e18 Å wraps out of the
+  // box), and an empty system estimated a finite rate.  All are rejected
+  // before any binning, on the path that Workload::build and
   // analyze_decomposition share, naming the atom.
   const System water = build_water_box(300, 52, -1);
   const double inf = std::numeric_limits<double>::infinity();
@@ -329,6 +330,10 @@ TEST(Workload, DegenerateInputRejected) {
       {"NaN", with_z(water, 17, std::nan("")), "atom 17 has a non-finite"},
       {"+Inf", with_z(water, 0, inf), "atom 0 has a non-finite"},
       {"-Inf", with_z(water, 899, -inf), "atom 899 has a non-finite"},
+      {"4.49e18", with_z(water, 5, 4.49e18),
+       "atom 5 has a non-finite or out-of-range"},
+      {"-1.12e18", with_z(water, 9, -1.12e18),
+       "atom 9 has a non-finite or out-of-range"},
       {"0 atoms", empty_like(water), "the system has no atoms"},
   };
   const auto cfg = tiny_machine(2, 2, 2, 6.0);
