@@ -1,21 +1,27 @@
 // Prints bit-exact digests of the forces and energies of two force
-// evaluations: one under deterministic_forces, and one with the default
+// evaluations — one under deterministic_forces, and one with the default
 // MdParams (the production path: tabulated pair kernel, double accumulation
-// at the given thread count).  Two builds that claim bitwise-identical
-// physics — e.g. the AVX2 and scalar SIMD backends at one thread count, or
-// different thread counts for the deterministic block — must print
-// byte-identical blocks; scripts/check.sh and CI diff this across the two
-// backend trees as the cross-configuration parity smoke test.
+// at the given thread count) — and of the positions and velocities after
+// `steps` default-MdParams Simulation steps on the same pool (the stepped
+// production path: forces, the threaded constraint phases, integration).
+// Two builds that claim bitwise-identical physics — e.g. the AVX2 and
+// scalar SIMD backends at one thread count, or different thread counts for
+// the deterministic block — must print byte-identical blocks;
+// scripts/check.sh and CI diff this across the two backend trees as the
+// cross-configuration parity smoke test.
 //
 //   ./build/examples/force_hash [molecules=729] [threads=4] [seed=11]
+//                               [steps=10]
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "chem/builder.h"
 #include "common/config.h"
 #include "common/threadpool.h"
+#include "md/engine.h"
 #include "md/forces.h"
 
 using namespace anton;
@@ -66,6 +72,26 @@ void print_digest(const char* title, const System& sys, const MdParams& md,
   std::printf("e_coul_excl %016" PRIx64 "\n", bits_of(e.coulomb_excl));
 }
 
+void add_all(Digest& d, std::span<const Vec3> v) {
+  for (const Vec3& x : v) {
+    d.add(x.x);
+    d.add(x.y);
+    d.add(x.z);
+  }
+}
+
+// `steps` Simulation steps of `sys` under the default MdParams.
+void print_trajectory_digest(const System& sys, int steps, ThreadPool& pool) {
+  md::Simulation sim(sys, MdParams{}, &pool);
+  sim.step(steps);
+  Digest pos, vel;
+  add_all(pos, sim.system().positions());
+  add_all(vel, sim.system().velocities());
+  std::printf("[default MdParams, %d steps]\n", steps);
+  std::printf("position_digest %016" PRIx64 "\n", pos.h);
+  std::printf("velocity_digest %016" PRIx64 "\n", vel.h);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,6 +99,7 @@ int main(int argc, char** argv) {
   const int molecules = static_cast<int>(cfg.get_int("molecules", 729));
   const int threads = static_cast<int>(cfg.get_int("threads", 4));
   const uint64_t seed = static_cast<uint64_t>(cfg.get_int("seed", 11));
+  const int steps = static_cast<int>(cfg.get_int("steps", 10));
 
   const System sys = build_water_box(molecules, seed);
   ThreadPool pool(static_cast<unsigned>(threads));
@@ -82,5 +109,6 @@ int main(int argc, char** argv) {
   deterministic.deterministic_forces = true;
   print_digest("deterministic_forces", sys, deterministic, pool);
   print_digest("default MdParams", sys, MdParams{}, pool);
+  print_trajectory_digest(sys, steps, pool);
   return 0;
 }

@@ -74,12 +74,13 @@ cmake --build build-scalar -j"$JOBS"
 step "ctest (scalar backend)"
 ctest --test-dir build-scalar --output-on-failure -j"$JOBS"
 
-step "cross-backend force parity (native vs scalar, bitwise)"
+step "cross-backend force and trajectory parity (native vs scalar, bitwise)"
 ./build/examples/force_hash > "$SCRATCH/force_hash_native.txt"
 ./build-scalar/examples/force_hash > "$SCRATCH/force_hash_scalar.txt"
 diff "$SCRATCH/force_hash_native.txt" "$SCRATCH/force_hash_scalar.txt"
-echo "force digests byte-identical across SIMD backends:"
-grep force_digest "$SCRATCH/force_hash_native.txt"
+echo "force and trajectory digests byte-identical across SIMD backends:"
+grep -E 'force_digest|position_digest|velocity_digest' \
+  "$SCRATCH/force_hash_native.txt"
 
 step "telemetry smoke (trace + metrics round-trip)"
 TELEMETRY_TMP="$SCRATCH"
@@ -100,28 +101,31 @@ ANTON_FLIGHT_EXIT_DUMP=1 ANTON_FLIGHT_PATH="$SCRATCH/flight.json" \
   ./build/examples/quickstart atoms=1500 nodes=8 steps=2 >/dev/null
 python3 tools/validate_trace.py --flight "$SCRATCH/flight.json"
 
+# ctest -R matches the gtest names, so name the suites of test_md_threaded,
+# test_determinism, test_fft and test_md_constraints.
 step "threaded parity (serial vs threaded kernels, bitwise where promised)"
 ctest --test-dir build --output-on-failure -j"$JOBS" \
-  -R 'test_md_threaded|test_determinism|test_fft'
+  -R '^(Threaded|Determinism|FftPlan|Fft3D|Shake|Rattle|Constraints|ConstraintSolver)\.'
 
 step "DES core (zero-allocation steady state + sweep parity)"
 ctest --test-dir build --output-on-failure -j"$JOBS" \
   -R 'DesNoAlloc|SweepRunner|EventQueue'
 
 # The thread pool, sweep runner, flight recorder, threaded MD kernels, the
-# threaded pair pass of Workload::build and the threaded neighbour-list
-# build make concurrency claims that are only as good as their TSan run,
-# so they get a targeted thread-sanitizer pass even though full-tree TSan
-# stays opt-in via ANTON_CHECK_SANITIZERS.
+# threaded pair pass of Workload::build, the threaded neighbour-list build
+# and the constraint groups split across the pool make concurrency claims
+# that are only as good as their TSan run, so they get a targeted
+# thread-sanitizer pass even though full-tree TSan stays opt-in via
+# ANTON_CHECK_SANITIZERS.
 step "targeted TSan pass (build-thread/, threaded suites only)"
 cmake -B build-thread -S . -DANTON_SANITIZE=thread -DANTON_SIMD=scalar \
       >/dev/null
 cmake --build build-thread -j"$JOBS" --target test_threadpool test_sweep \
   test_flightrecorder test_md_threaded test_determinism test_workload \
-  test_md_nonbonded
+  test_md_nonbonded test_md_constraints
 ctest --test-dir build-thread --output-on-failure -j"$JOBS" \
   -L sanitize-thread \
-  -R 'ThreadPool|SweepRunner|FlightRecorder|Threaded|Determinism|Workload|NeighborList'
+  -R 'ThreadPool|SweepRunner|FlightRecorder|Threaded|Determinism|Workload|NeighborList|Shake|Rattle|Constraint'
 
 step "bench smoke (BENCH_f6.json ... BENCH_f8.json)"
 cmake --build build --target bench-smoke -j"$JOBS"

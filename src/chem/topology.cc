@@ -51,7 +51,10 @@ void Topology::add_constraint(const Constraint& c) {
   ANTON_CHECK(!finalized_);
   check_index(c.i, num_atoms());
   check_index(c.j, num_atoms());
-  ANTON_CHECK(c.length > 0);
+  ANTON_CHECK_MSG(c.i != c.j && std::isfinite(c.length) && c.length > 0,
+                  "bad constraint {" << c.i << ", " << c.j << ", " << c.length
+                                     << "}: needs two atoms and a finite "
+                                        "positive length");
   constraints_.push_back(c);
 }
 

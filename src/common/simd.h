@@ -147,8 +147,13 @@ struct VecD {
   }
 
   // lanes[l] = base[idx.lane(l)]; every index must be in-range.
+  // The masked form with a zero source and an all-ones mask is the same
+  // instruction as _mm256_i32gather_pd, whose undefined source GCC 12
+  // reports as maybe-uninitialized.
   static VecD gather(const double* base, VecI idx) {
-    return {_mm256_i32gather_pd(base, idx.v, 8)};
+    return {_mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), base, idx.v,
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
   }
   // Gather where m is set, exact 0.0 elsewhere.  Inactive lanes are not
   // dereferenced, but their indices must still be in-range for the masked

@@ -75,6 +75,7 @@ class Simulation {
   // unique_ptr so the barostat can rebuild the force stack after a box
   // rescale (the GSE mesh and neighbour grid are box-dependent).
   std::unique_ptr<ForceCompute> force_;
+  ConstraintSolver constraints_;
   ThreadPool* pool_;
   std::vector<Vec3> f_short_;
   std::vector<Vec3> f_long_;

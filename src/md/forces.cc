@@ -109,7 +109,7 @@ EnergyReport ForceCompute::compute_short(std::span<const Vec3> pos,
       fsum += f;
       fmag += std::abs(f.x) + std::abs(f.y) + std::abs(f.z);
     }
-    const double tol = 1e-9 * fmag + 1e-6;
+    [[maybe_unused]] const double tol = 1e-9 * fmag + 1e-6;
     ANTON_CHECK_INVARIANT(std::abs(fsum.x) <= tol &&
                               std::abs(fsum.y) <= tol &&
                               std::abs(fsum.z) <= tol,

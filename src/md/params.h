@@ -67,7 +67,11 @@ struct MdParams {
   // Integration.
   double dt_fs = 2.5;         // inner timestep, femtoseconds
   int respa_k = 2;            // evaluate k-space every respa_k steps (1 = off)
-  double shake_tol = 1e-8;    // relative constraint tolerance
+  // SHAKE/RATTLE (md/constraints.h): each constraint group is solved until
+  // every relative violation, |r²-d²|/d² for positions and |v·r|/d² for
+  // velocities, is <= shake_tol, for at most shake_max_iter Newton
+  // iterations per group.
+  double shake_tol = 1e-8;
   int shake_max_iter = 500;
 
   // Temperature control.  For backward compatibility, a nonzero

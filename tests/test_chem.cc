@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "chem/builder.h"
 #include "chem/forcefield.h"
@@ -65,6 +66,30 @@ TEST(Topology, ValidationCatchesBadIndices) {
   top.add_atom(ForceField::Std::kCB, 0.0);
   EXPECT_THROW(top.add_bond({0, 5, 300.0, 1.5}), Error);
   EXPECT_THROW(top.add_bond({0, 0, 300.0, 1.5}), Error);
+}
+
+TEST(Topology, RejectsBadConstraints) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* name;
+    Constraint c;
+  } rows[] = {
+      {"infinite length", {0, 1, inf}},
+      {"NaN length", {0, 1, nan}},
+      {"self constraint", {0, 0, 1.0}},
+      {"zero length", {0, 1, 0.0}},
+      {"atom out of range", {0, 2, 1.0}},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    ForceField ff = ForceField::standard();
+    Topology top(ff);
+    top.add_atom(ForceField::Std::kCB, 0.0);
+    top.add_atom(ForceField::Std::kCB, 0.0);
+    EXPECT_THROW(top.add_constraint(row.c), Error);
+    EXPECT_TRUE(top.constraints().empty());
+  }
 }
 
 TEST(Topology, DegreesOfFreedom) {

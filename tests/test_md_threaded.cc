@@ -15,7 +15,9 @@
 
 #include "chem/builder.h"
 #include "common/threadpool.h"
+#include "md/engine.h"
 #include "md/forces.h"
+#include "md/minimize.h"
 #include "md/neighborlist.h"
 #include "md/nonbonded.h"
 
@@ -274,6 +276,30 @@ TEST(Threaded, SteadyStateLongRangeIsAllocationFree) {
     const std::int64_t during_all = g_allocs.load() - before_all;
     EXPECT_EQ(during_all, 0) << "steady-state compute_all allocated";
   }
+}
+
+// A warmed Simulation::step — forces, both constraint phases on the pool,
+// integration and any neighbour-list rebuild — touches no allocator.
+TEST(Threaded, SteadyStateStepIsAllocationFree) {
+  BuilderOptions o;
+  o.total_atoms = 2400;
+  o.solute_fraction = 0.12;
+  o.seed = 23;
+  System sys = build_solvated_system(o);
+  MdParams p;
+  minimize_energy(sys, p, 200);
+  sys.assign_velocities(300.0, o.seed);
+  ThreadPool pool(4);
+  Simulation sim(std::move(sys), p, &pool);
+  sim.step(8);
+
+  const std::int64_t builds = sim.force_compute().nlist_builds();
+  const std::int64_t before = g_allocs.load();
+  sim.step(8);
+  const std::int64_t during = g_allocs.load() - before;
+  EXPECT_EQ(during, 0) << "steady-state Simulation::step allocated";
+  EXPECT_GT(sim.force_compute().nlist_builds(), builds)
+      << "no list rebuild in the measured steps";
 }
 
 }  // namespace
