@@ -102,10 +102,11 @@ ANTON_FLIGHT_EXIT_DUMP=1 ANTON_FLIGHT_PATH="$SCRATCH/flight.json" \
 python3 tools/validate_trace.py --flight "$SCRATCH/flight.json"
 
 # ctest -R matches the gtest names, so name the suites of test_md_threaded,
-# test_determinism, test_fft and test_md_constraints.
+# test_determinism, test_fft and test_md_constraints, and NeighborList
+# (GoldenCsrDigest pins the CSR serially and at pools of 2, 3, 4 and 7).
 step "threaded parity (serial vs threaded kernels, bitwise where promised)"
 ctest --test-dir build --output-on-failure -j"$JOBS" \
-  -R '^(Threaded|Determinism|FftPlan|Fft3D|Shake|Rattle|Constraints|ConstraintSolver)\.'
+  -R '^(Threaded|Determinism|FftPlan|Fft3D|Shake|Rattle|Constraints|ConstraintSolver|NeighborList)\.'
 
 step "DES core (zero-allocation steady state + sweep parity)"
 ctest --test-dir build --output-on-failure -j"$JOBS" \

@@ -2,18 +2,19 @@
 // (geom/pair_pass.h) at radius cutoff + skin, stored as a CSR.
 //
 // Pairs are stored half (each unordered pair once, under the lower index,
-// sorted per atom).  Topological exclusions are filtered at build time, so
-// force loops never branch on exclusion.
+// each row ascending).  Topological exclusions are filtered at build time,
+// so force loops never branch on exclusion.
 //
 // With a ThreadPool the pass's walk splits into one range of z-layers per
 // thread (a shard).  Each shard counts its pairs per row, a counting pass
 // turns the counts into disjoint slots of the CSR arrays, and each shard
 // walks its pairs again to write them there, so no pair is stored twice
-// and the fill is race-free.  A parallel per-atom sort, followed by a
-// merge against the atom's sorted exclusion row, makes the result
-// identical to the serial build bit for bit.  The pass and all scratch
-// persist across builds, so steady-state rebuilds do not allocate once
-// capacities settle.
+// and the fill is race-free.  Each row is then radix-sorted on the key
+// j - i - 1 (8-bit LSD digits, as many as the atom count needs) and merged
+// against the atom's sorted exclusion row, the rows split across the pool
+// at equal cumulative-pair quantiles; the result is identical to the
+// serial build bit for bit.  The pass and all scratch persist across
+// builds, so steady-state rebuilds do not allocate once capacities settle.
 #pragma once
 
 #include <cstdint>

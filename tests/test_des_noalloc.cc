@@ -1,6 +1,6 @@
 // Zero-allocation guarantee for the discrete-event core.
 //
-// This binary overrides the global allocator with a counting hook so the
+// This binary links the counting allocator (alloc_counter.cc) so the
 // steady-state tests can assert that a warmed event queue, torus, and
 // TimestepRunner perform no heap allocation at all while simulating — the
 // DES analogue of the short-range pipeline's guarantee in
@@ -9,12 +9,11 @@
 // first run left warm.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "arch/config.h"
 #include "chem/builder.h"
 #include "core/timestep.h"
@@ -22,51 +21,10 @@
 #include "noc/torus.h"
 #include "sim/event_queue.h"
 
-namespace {
-std::atomic<std::int64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace anton {
 namespace {
+
+using test_support::g_allocs;
 
 // Self-scheduling chain event: each firing frees its arena slot, then
 // reclaims it for the follow-up — the torus delivery pattern in miniature.

@@ -1,72 +1,31 @@
 // Flight recorder: ring semantics, concurrency, crash dumps, and the
 // zero-allocation steady state.
 //
-// Like test_des_noalloc.cc, this binary overrides the global allocator with
-// a counting hook: after the one-time per-thread ring attach, recording
+// Like test_des_noalloc.cc, this binary links the counting allocator
+// (alloc_counter.cc): after the one-time per-thread ring attach, recording
 // into the flight buffer must perform no heap allocation at all — that is
 // the property that lets ANTON_HOT_NOALLOC paths (the DES queue loop, the
 // NoC delivery path) record without losing their callgraph-verified purity.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/error.h"
 #include "obs/flightrecorder.h"
 
-namespace {
-std::atomic<std::int64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace anton {
 namespace {
+
+using test_support::g_allocs;
 
 namespace flight = obs::flight;
 

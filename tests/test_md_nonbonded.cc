@@ -14,6 +14,7 @@
 #include "common/threadpool.h"
 #include "common/units.h"
 #include "md/analysis.h"
+#include "md/forces.h"
 #include "md/neighborlist.h"
 #include "md/nonbonded.h"
 #include "test_support.h"
@@ -111,11 +112,17 @@ TEST(NeighborList, GoldenCsrDigest) {
   // Pins the CSR bit for bit, serially and at every pool size, on the cell
   // walk and on the all-pairs fallback (a 10 Å list radius in the 28 Å
   // water box leaves 2 cells per axis), with DHFR wrapped and unwrapped.
-  // The constants come from the build that walked the cells itself, before
-  // the list moved onto the pair pass.
+  // The row sort takes one 8-bit digit up to 256 atoms, two up to 65,536
+  // and three beyond: the 192-atom box (the fallback again) and the
+  // 66,000-atom box pin the one- and three-digit sorts.  The first five
+  // constants come from the build that walked the cells itself, before
+  // the list moved onto the pair pass; the last two from the build that
+  // sorted each row with std::sort.
   const System water = build_water_box(729, 71, -1);
   const System dhfr = build_benchmark_system(dhfr_spec(), 2014);
   const System dhfr_unwrapped = unwrapped_copy(dhfr);
+  const System water192 = build_water_box(64, 73, -1);
+  const System water66k = build_water_box(22000, 74, -1);
   struct Row {
     const char* name;
     const System* sys;
@@ -129,6 +136,9 @@ TEST(NeighborList, GoldenCsrDigest) {
       {"dhfr unwrapped 9/1", &dhfr_unwrapped, 9.0, 1.0,
        0x31B67EF1867A4708ULL},
       {"dhfr 12/1", &dhfr, 12.0, 1.0, 0xB3C7FF4C7BA9D10CULL},
+      {"water 192 5/1 (fallback)", &water192, 5.0, 1.0,
+       0xE3C04302D9DF9A58ULL},
+      {"water 66000 6.5/0.7", &water66k, 6.5, 0.7, 0x23E522D190BCC14FULL},
   };
   for (const Row& row : rows) {
     for (unsigned threads : {0u, 2u, 3u, 4u, 7u}) {
@@ -168,8 +178,11 @@ TEST(NeighborList, DegenerateInputRejected) {
   // but huge one (|z| ~ 1e18 Å) wrapped out of the box, so it binned out of
   // range or into the wrong cell.  The list and the RDF reach the pair
   // pass's check, which names the atom: a first build on constructing the
-  // pass, a rebuild on re-binning it.  2,187 atoms take the threaded build
-  // with the pool.
+  // pass, a rebuild on re-binning it.  On a built list a non-finite
+  // position counts as moved (a NaN distance used to compare as "not
+  // beyond the skin"), so ForceCompute's next short-range evaluation
+  // rebuilds and reaches the same check.  2,187 atoms take the threaded
+  // build and rebuild check with the pool.
   const System water = build_water_box(729, 72, -1);
   const double inf = std::numeric_limits<double>::infinity();
   struct Row {
@@ -198,6 +211,24 @@ TEST(NeighborList, DegenerateInputRejected) {
         row.message, name + ", serial first build");
     NeighborList built(6.5, 0.7);
     built.build(water.box(), water.positions(), water.topology(), &pool);
+    if (!std::isfinite(row.z)) {
+      EXPECT_TRUE(built.needs_rebuild(sys.box(), sys.positions()))
+          << name << ", serial needs_rebuild";
+      EXPECT_TRUE(built.needs_rebuild(sys.box(), sys.positions(), &pool))
+          << name << ", 4-thread needs_rebuild";
+      MdParams p;
+      p.cutoff = 6.5;
+      p.skin = 0.7;
+      for (ThreadPool* fc_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        ForceCompute force(water.topology_ptr(), water.box(), p, fc_pool);
+        std::vector<Vec3> f(static_cast<size_t>(water.num_atoms()));
+        force.compute_short(water.positions(), f);
+        expect_error([&] { force.compute_short(sys.positions(), f); },
+                     row.message,
+                     name + (fc_pool != nullptr ? ", 4-thread" : ", serial") +
+                         " ForceCompute::compute_short");
+      }
+    }
     expect_error(
         [&] {
           built.build(sys.box(), sys.positions(), sys.topology(), &pool);

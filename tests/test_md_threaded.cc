@@ -1,18 +1,17 @@
 // Threaded short-range pipeline: determinism, serial parity, parallel
 // neighbour-list correctness, and the zero-allocation guarantee.
 //
-// This binary overrides the global allocator with a counting hook so the
+// This binary links the counting allocator (alloc_counter.cc) so the
 // steady-state test can assert that a warmed ForceCompute performs no heap
 // allocation at all during stepping — the software analogue of Anton 2's
 // fixed-function pipelines, which have no allocator to touch.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "chem/builder.h"
 #include "common/threadpool.h"
 #include "md/engine.h"
@@ -21,51 +20,10 @@
 #include "md/neighborlist.h"
 #include "md/nonbonded.h"
 
-namespace {
-std::atomic<std::int64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace anton::md {
 namespace {
+
+using test_support::g_allocs;
 
 // 729 molecules = 2187 atoms, above the kernels' serial-fallback threshold,
 // so the threaded paths genuinely engage.
