@@ -30,22 +30,6 @@ inline void print_header(const std::string& experiment_id,
   std::cout << "\n=== " << experiment_id << ": " << description << " ===\n";
 }
 
-// Minimum over `reps` timed repetitions of `iters` calls each, in
-// milliseconds per call — the stable statistic on hosts with bursty
-// background load.  Shared by every baseline-gated comparison (f6/f7/f8) so
-// the gated speedups are measured the same way everywhere.
-template <typename Fn>
-double time_min_ms(int reps, int iters, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = obs::wall_seconds();
-    for (int it = 0; it < iters; ++it) fn();
-    const double dt = (obs::wall_seconds() - t0) / iters;
-    if (dt < best) best = dt;
-  }
-  return best * 1e3;
-}
-
 // The standard 23,558-atom benchmark system (DHFR class), built once.
 inline const System& dhfr_system() {
   static const System sys = build_benchmark_system(dhfr_spec());

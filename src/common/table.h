@@ -1,9 +1,8 @@
-// Plain-text table formatter for the bench harness, plus the uniform cubic
-// interpolation table the MD pair kernels use to replace transcendental
-// calls (Anton's PPIMs evaluate pairwise functionals from on-chip tables the
-// same way).
+// Plain-text table formatter for the bench harness and the examples.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -11,117 +10,8 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/simd.h"
 
 namespace anton {
-
-// Uniformly-spaced cubic Hermite interpolation of a smooth f(x) on
-// [x0, x1].  Nodes store the exact value and derivative, so the
-// interpolant is C¹ and the max error is O(h⁴ max|f⁗|) — a few thousand
-// nodes bound erfc-kernel errors far below integrator noise.
-class CubicTable {
- public:
-  CubicTable() = default;
-
-  // Samples f and its derivative df at n_nodes equispaced points.
-  template <class F, class DF>
-  void build(double x0, double x1, int n_nodes, F&& f, DF&& df) {
-    ANTON_CHECK_MSG(n_nodes >= 2 && x1 > x0, "bad interpolation table domain");
-    x0_ = x0;
-    n_ = n_nodes;
-    h_ = (x1 - x0) / (n_nodes - 1);
-    inv_h_ = 1.0 / h_;
-    nodes_.resize(static_cast<size_t>(n_nodes));
-    for (int k = 0; k < n_nodes; ++k) {
-      const double x = x0 + k * h_;
-      nodes_[static_cast<size_t>(k)] = {f(x), df(x)};
-    }
-  }
-
-  bool built() const { return !nodes_.empty(); }
-  double min_x() const { return x0_; }
-  double max_x() const { return x0_ + (n_ - 1) * h_; }
-  int num_nodes() const { return n_; }
-
-  // Evaluates the interpolant; x is clamped to the table domain.
-  double operator()(double x) const {
-    double s = (x - x0_) * inv_h_;
-    if (s < 0) s = 0;
-    if (s > n_ - 1) s = n_ - 1;
-    int k = static_cast<int>(s);
-    if (k > n_ - 2) k = n_ - 2;
-    const double t = s - k;
-    const Node& a = nodes_[static_cast<size_t>(k)];
-    const Node& b = nodes_[static_cast<size_t>(k) + 1];
-    const double t2 = t * t;
-    const double t3 = t2 * t;
-    return (2 * t3 - 3 * t2 + 1) * a.v + (t3 - 2 * t2 + t) * h_ * a.d +
-           (-2 * t3 + 3 * t2) * b.v + (t3 - t2) * h_ * b.d;
-  }
-
-  // Lane-gathered batch evaluation: out[i] = (*this)(x[i]) for i < count,
-  // bitwise identical to the scalar operator() for finite inputs (same
-  // clamped index computation, same Hermite basis in the same evaluation
-  // order, per lane).  The ragged tail pads the last abscissa into the
-  // unused lanes and stores only the live ones.
-  void eval_batch(const double* x, double* out, int count) const {
-    using simd::VecD;
-    using simd::VecI;
-    constexpr int W = simd::kLanesD;
-    const double* base = reinterpret_cast<const double*>(nodes_.data());
-    const VecD v_x0 = VecD::broadcast(x0_);
-    const VecD v_inv_h = VecD::broadcast(inv_h_);
-    const VecD v_h = VecD::broadcast(h_);
-    const VecD v_smax = VecD::broadcast(static_cast<double>(n_ - 1));
-    const VecD v_zero = VecD::zero();
-    const VecD v_one = VecD::broadcast(1.0);
-    const VecD v_two = VecD::broadcast(2.0);
-    const VecD v_three = VecD::broadcast(3.0);
-    const VecI vi_zero = VecI::broadcast(0);
-    const VecI vi_two = VecI::broadcast(2);
-    const VecI vi_nmax = VecI::broadcast(n_ - 2);
-    for (int c = 0; c < count; c += W) {
-      const int cnt = count - c < W ? count - c : W;
-      double xbuf[W];
-      const double* xp = x + c;
-      if (cnt < W) {
-        for (int l = 0; l < W; ++l) xbuf[l] = xp[l < cnt ? l : cnt - 1];
-        xp = xbuf;
-      }
-      VecD s = (VecD::loadu(xp) - v_x0) * v_inv_h;
-      s = min(max(s, v_zero), v_smax);
-      const VecI k = min(max(truncate(s), vi_zero), vi_nmax);
-      const VecD t = s - VecD::from_int(k);
-      // Nodes k and k+1 are 4 consecutive doubles {a.v, a.d, b.v, b.d}:
-      // one record load per chunk (k is clamped to n-2, so node+3 is
-      // in-range).
-      const VecI node = k * vi_two;  // Node{v, d}: stride 2 doubles
-      VecD a_v, a_d, b_v, b_d;
-      simd::load_fields4(base, node, a_v, a_d, b_v, b_d);
-      const VecD t2 = t * t;
-      const VecD t3 = t2 * t;
-      const VecD r = (v_two * t3 - v_three * t2 + v_one) * a_v +
-                     (t3 - v_two * t2 + t) * v_h * a_d +
-                     (v_three * t2 - v_two * t3) * b_v +
-                     (t3 - t2) * v_h * b_d;
-      if (cnt == W) {
-        r.storeu(out + c);
-      } else {
-        double obuf[W];
-        r.storeu(obuf);
-        for (int l = 0; l < cnt; ++l) out[c + l] = obuf[l];
-      }
-    }
-  }
-
- private:
-  struct Node {
-    double v, d;
-  };
-  std::vector<Node> nodes_;
-  double x0_ = 0, h_ = 1, inv_h_ = 1;
-  int n_ = 0;
-};
 
 class TextTable {
  public:

@@ -46,10 +46,11 @@ Checkpoint load_checkpoint(std::istream& is) {
   cp.step = read_pod<int64_t>(is);
   const auto n = read_pod<uint64_t>(is);
   ANTON_CHECK_MSG(n < (1ull << 32), "implausible checkpoint size");
-  cp.positions.resize(n);
-  cp.velocities.resize(n);
-  for (auto& p : cp.positions) p = read_pod<Vec3>(is);
-  for (auto& v : cp.velocities) v = read_pod<Vec3>(is);
+  // n comes from the stream: append record by record, so memory follows the
+  // bytes actually present and a truncated stream fails before a huge count
+  // is allocated.
+  for (uint64_t i = 0; i < n; ++i) cp.positions.push_back(read_pod<Vec3>(is));
+  for (uint64_t i = 0; i < n; ++i) cp.velocities.push_back(read_pod<Vec3>(is));
   return cp;
 }
 

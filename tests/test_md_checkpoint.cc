@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "chem/builder.h"
 #include "md/checkpoint.h"
 #include "md/engine.h"
+#include "test_support.h"
 
 namespace anton::md {
 namespace {
+
+using test_support::expect_error;
 
 MdParams params() {
   MdParams p;
@@ -92,9 +98,53 @@ TEST(Checkpoint, FileRoundTrip) {
 }
 
 TEST(Checkpoint, RejectsGarbage) {
-  std::stringstream ss;
-  ss << "this is not a checkpoint at all";
-  EXPECT_THROW(load_checkpoint(ss), Error);
+  // Layout: magic (8 bytes), version (4), step (8), atom count n (8), then n
+  // positions and n velocities of sizeof(Vec3) each.
+  constexpr size_t kCountAt = 20;
+  constexpr size_t kHeader = 28;
+  std::stringstream valid;
+  save_checkpoint(valid, capture(build_water_box(27, 77), 3));
+  const std::string bytes = valid.str();
+  const size_t n = (bytes.size() - kHeader) / (2 * sizeof(Vec3));
+  const size_t velocities_at = kHeader + n * sizeof(Vec3);
+  {
+    std::stringstream whole(bytes);
+    ASSERT_EQ(load_checkpoint(whole).positions.size(), n);
+  }
+
+  // A header claiming 2^32 - 1 atoms over two atoms of payload must fail on
+  // the missing bytes, not allocate the claimed count first.
+  Checkpoint two;
+  two.positions = {{1, 2, 3}, {4, 5, 6}};
+  two.velocities = {{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}};
+  std::stringstream two_ss;
+  save_checkpoint(two_ss, two);
+  std::string huge = two_ss.str();
+  const uint64_t huge_n = (1ull << 32) - 1;
+  std::memcpy(huge.data() + kCountAt, &huge_n, sizeof huge_n);
+
+  struct Row {
+    const char* name;
+    std::string bytes;
+    const char* message;
+  };
+  const Row rows[] = {
+      {"garbage text", "this is not a checkpoint at all",
+       "not an anton2sim checkpoint"},
+      {"n = 2^32 - 1 over 2 atoms", huge, "truncated checkpoint"},
+      {"cut inside the header", bytes.substr(0, kCountAt - 3),
+       "truncated checkpoint"},
+      {"cut inside the positions",
+       bytes.substr(0, kHeader + 10 * sizeof(Vec3) + 5),
+       "truncated checkpoint"},
+      {"cut inside the velocities",
+       bytes.substr(0, velocities_at + 3 * sizeof(Vec3) + 1),
+       "truncated checkpoint"},
+  };
+  for (const Row& row : rows) {
+    std::stringstream ss(row.bytes);
+    expect_error([&] { load_checkpoint(ss); }, row.message, row.name);
+  }
 }
 
 TEST(Checkpoint, RejectsAtomCountMismatch) {

@@ -1,16 +1,13 @@
-// Tabulated pair kernels: cubic-Hermite table machinery, the erfc table
-// accuracy bound, parity between tabulated and analytic short-range forces,
-// and NVE energy conservation with tables enabled.
+// Tabulated pair kernels: the erfc table accuracy bound, parity between
+// tabulated and analytic short-range forces, and NVE energy conservation
+// with tables enabled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <random>
 #include <vector>
 
 #include "chem/builder.h"
-#include "common/table.h"
 #include "common/units.h"
 #include "md/engine.h"
 #include "md/neighborlist.h"
@@ -20,65 +17,6 @@ namespace anton::md {
 namespace {
 
 constexpr double kTwoOverSqrtPi = 1.1283791670955126;
-
-TEST(CubicTable, ReproducesSmoothFunction) {
-  CubicTable tab;
-  tab.build(
-      0.0, 5.0, 513, [](double x) { return std::exp(-x); },
-      [](double x) { return -std::exp(-x); });
-  ASSERT_TRUE(tab.built());
-  // Exact at the nodes.
-  EXPECT_DOUBLE_EQ(tab(0.0), 1.0);
-  // Hermite error scales like h^4 f'''' / 384; h ~ 1e-2 gives ~2.6e-11.
-  double max_err = 0;
-  for (int k = 0; k < 2000; ++k) {
-    const double x = 5.0 * k / 1999.0;
-    max_err = std::max(max_err, std::abs(tab(x) - std::exp(-x)));
-  }
-  EXPECT_LT(max_err, 1e-9);
-  // Clamped outside the domain.
-  EXPECT_DOUBLE_EQ(tab(-1.0), tab(0.0));
-  EXPECT_DOUBLE_EQ(tab(6.0), tab(5.0));
-}
-
-TEST(CubicTable, EvalBatchIsBitwiseIdenticalToScalarEval) {
-  CubicTable tab;
-  tab.build(
-      0.25, 81.0, 1537, [](double x) { return std::exp(-0.3 * x) / x; },
-      [](double x) {
-        return -std::exp(-0.3 * x) * (0.3 / x + 1.0 / (x * x));
-      });
-  // Random abscissae across the domain plus clamp regions on both sides and
-  // exact node hits; every batch size from 1 to 3 vector widths to cover
-  // ragged tails.
-  std::mt19937_64 rng(77);
-  std::uniform_real_distribution<double> in_dom(0.25, 81.0);
-  std::uniform_real_distribution<double> wide(-5.0, 95.0);
-  std::vector<double> xs;
-  for (int k = 0; k < 4000; ++k) xs.push_back(in_dom(rng));
-  for (int k = 0; k < 1000; ++k) xs.push_back(wide(rng));
-  for (int k = 0; k < 1537; k += 13) {
-    xs.push_back(0.25 + k * (81.0 - 0.25) / 1536.0);
-  }
-  auto expect_bits = [](double got, double want, size_t i) {
-    uint64_t gb, wb;
-    std::memcpy(&gb, &got, sizeof gb);
-    std::memcpy(&wb, &want, sizeof wb);
-    EXPECT_EQ(gb, wb) << "x index " << i << ": got " << got << " want "
-                      << want;
-  };
-  std::vector<double> out(xs.size(), -1.0);
-  tab.eval_batch(xs.data(), out.data(), static_cast<int>(xs.size()));
-  for (size_t i = 0; i < xs.size(); ++i) expect_bits(out[i], tab(xs[i]), i);
-  for (int count = 1; count <= 12; ++count) {
-    std::vector<double> o(static_cast<size_t>(count), -1.0);
-    tab.eval_batch(xs.data(), o.data(), count);
-    for (int i = 0; i < count; ++i) {
-      expect_bits(o[static_cast<size_t>(i)], tab(xs[static_cast<size_t>(i)]),
-                  static_cast<size_t>(i));
-    }
-  }
-}
 
 // The fused table's interpolants at r², evaluated with the pair kernel's
 // Hermite basis: {energy, force factor} per unit qq.
