@@ -1,6 +1,8 @@
 // F8 — Discrete-event core: the pooled inline-callable queue + 4-ary heap
-// on a mixed unicast/multicast event storm, and the parallel sweep harness
-// vs a serial estimate loop.
+// on a mixed unicast/multicast event storm, the same queue under the real
+// step replay (one warmed TimestepRunner on the DHFR-class system at 512
+// nodes, full and RESPA-short step), and the parallel sweep harness vs a
+// serial estimate loop.
 //
 // The sweep section replays the F3 study (event-driven vs BSP across node
 // counts) serially and on a 4-thread SweepRunner and checks the merged
@@ -9,9 +11,12 @@
 // Set ANTON_BENCH_SMOKE=1 to shrink repetitions for CI.
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <vector>
 
 #include "bench_util.h"
+#include "core/timestep.h"
+#include "core/workload.h"
 #include "obs/profiler.h"
 #include "sim/event_queue.h"
 
@@ -98,6 +103,43 @@ double storm_ms(int reps, int chains, int depth) {
   return best * 1e3;
 }
 
+// One replay's cost on a warmed runner: minimum over `reps`.
+struct ReplayCost {
+  uint64_t tasks = 0;
+  uint64_t events = 0;       // EventQueue::executed()
+  size_t peak_pending = 0;   // arena slots: the most events ever pending
+  double ms = 0;
+};
+
+ReplayCost replay_cost(core::TimestepRunner& runner, bool full, int reps) {
+  runner.run_timestep(full);  // warm this mode's buffers
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const double t0 = obs::wall_seconds();
+    runner.run_timestep(full);
+    best = std::min(best, obs::wall_seconds() - t0);
+  }
+  return {runner.exec().tasks_executed, runner.queue().executed(),
+          runner.queue().arena_slots(), best * 1e3};
+}
+
+// Runs fn on the caller inside a one-thread ThreadPool dispatch: code that
+// checks ThreadPool::in_dispatch() (Workload::build's pair pass) stays
+// serial, exactly as it does on a SweepRunner worker.
+template <class Fn>
+void in_serial_dispatch(Fn&& fn) {
+  ThreadPool one(1);
+  std::exception_ptr err;
+  one.for_each_thread([&](unsigned) {
+    try {
+      fn();
+    } catch (...) {
+      err = std::current_exception();
+    }
+  });
+  if (err) std::rethrow_exception(err);
+}
+
 }  // namespace
 }  // namespace anton::bench
 
@@ -127,6 +169,35 @@ int main() {
   }
 
   {
+    std::cout << "\n-- step replay, one warmed TimestepRunner (DHFR-class, "
+                 "512 nodes) --\n";
+    const arch::MachineConfig cfg = machine_preset("anton2", 512);
+    const core::Workload w = core::Workload::build(dhfr_system(), cfg);
+    TextTable t({"step", "tasks", "events", "events/task", "peak pending",
+                 "ms/replay", "ns/event"});
+    for (const bool full : {true, false}) {
+      // A runner per step, so each one's arena measures its own peak.
+      core::TimestepRunner runner(w, cfg);
+      const ReplayCost c = replay_cost(runner, full, smoke ? 5 : 20);
+      const std::string key = full ? "replay.full." : "replay.short.";
+      const double per_task =
+          static_cast<double>(c.events) / static_cast<double>(c.tasks);
+      const double ns_per_event = c.ms * 1e6 / static_cast<double>(c.events);
+      report.record(key + "tasks", static_cast<double>(c.tasks));
+      report.record(key + "events", static_cast<double>(c.events));
+      report.record(key + "events_per_task", per_task);
+      report.record(key + "peak_pending", static_cast<double>(c.peak_pending));
+      report.record(key + "ms", c.ms);
+      report.record(key + "ns_per_event", ns_per_event);
+      t.add_row({full ? "full" : "short", std::to_string(c.tasks),
+                 std::to_string(c.events), TextTable::fmt(per_task, 2),
+                 std::to_string(c.peak_pending), TextTable::fmt(c.ms, 2),
+                 TextTable::fmt(ns_per_event, 1)});
+    }
+    t.print(std::cout);
+  }
+
+  {
     std::cout << "\n-- F3 sweep (event vs BSP), serial vs SweepRunner(4) --\n";
     const System& sys = dhfr_system();
     std::vector<core::EstimatePoint> pts;
@@ -141,12 +212,15 @@ int main() {
     ThreadPool pool(4);
     const core::SweepRunner threaded(&pool);
 
-    // Warm both paths (system caches, pool threads) before timing.
-    const auto warm = serial.estimate(sys, std::span(pts.data(), 2));
-    (void)warm;
+    // The serial loop runs each point on one thread, as a SweepRunner
+    // worker does: inside a pool dispatch, where Workload::build stays
+    // serial instead of starting a pool of its own.  Warm both paths
+    // (system caches, pool threads) before timing.
+    std::vector<core::PerfReport> rs;
+    in_serial_dispatch([&] { serial.estimate(sys, std::span(pts.data(), 2)); });
 
     const double t0 = obs::wall_seconds();
-    const auto rs = serial.estimate(sys, pts);
+    in_serial_dispatch([&] { rs = serial.estimate(sys, pts); });
     const double serial_ms = (obs::wall_seconds() - t0) * 1e3;
     const double t1 = obs::wall_seconds();
     const auto rt = threaded.estimate(sys, pts);

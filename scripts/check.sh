@@ -10,7 +10,8 @@
 #                                     # gate; skips the scalar-backend
 #                                     # rebuild, force-parity diff, telemetry
 #                                     # smoke, bench smoke, perfbench
-#                                     # self-test and all sanitizer trees
+#                                     # self-test and estimate exactness
+#                                     # gate, and all sanitizer trees
 #                                     # (minutes -> seconds of rebuild)
 #   ANTON_CHECK_SANITIZERS="address undefined thread" scripts/check.sh
 #   ANTON_CHECK_SANITIZERS="" scripts/check.sh   # skip sanitizer builds
@@ -64,7 +65,7 @@ cmake --build build-cg -j"$JOBS"
 ctest --test-dir build-cg --output-on-failure -j"$JOBS" -R 'anton_callgraph'
 
 if [ "$FAST" = 1 ]; then
-  step "fast gate passed (scalar backend, telemetry, bench, perfbench and sanitizer passes skipped)"
+  step "fast gate passed (scalar backend, telemetry, bench, perfbench, estimate exactness and sanitizer passes skipped)"
   exit 0
 fi
 
@@ -109,9 +110,9 @@ step "threaded parity (serial vs threaded kernels, bitwise where promised)"
 ctest --test-dir build --output-on-failure -j"$JOBS" \
   -R '^(Threaded|Determinism|FftPlan|Fft3D|Shake|Rattle|Constraints|ConstraintSolver|NeighborList)\.'
 
-step "DES core (zero-allocation steady state + sweep parity)"
+step "DES core (zero-allocation steady state, sweep parity, masked short step)"
 ctest --test-dir build --output-on-failure -j"$JOBS" \
-  -R 'DesNoAlloc|SweepRunner|EventQueue'
+  -R 'DesNoAlloc|SweepRunner|EventQueue|TaskGraph|Timestep'
 
 # The thread pool, sweep runner, flight recorder, threaded MD kernels, the
 # threaded pair pass of Workload::build, the threaded neighbour-list build
@@ -159,6 +160,17 @@ EOF
 # no other step here compiles.
 step "perfbench self-test (.bench_build/)"
 python3 perfbench/selftest.py
+
+# The machine model's exactness gate at full size, as CI's
+# perfbench-reference job runs it: one DHFR/512 estimate's us/day, both
+# step makespans, critical wait and task count must equal
+# perfbench/reference.json bit for bit.
+step "estimate exactness (estimate_dhfr512 against perfbench/reference.json)"
+python3 perfbench/run.py --workload estimate_dhfr512 --seed 0 --seconds 2 \
+  --trace 0 | tee "$SCRATCH/perfbench.log"
+tail -n 1 "$SCRATCH/perfbench.log" | python3 -c '
+import json, sys
+sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
 
 # Sanitizer trees use the scalar SIMD backend: instrumentation composes
 # poorly with wide intrinsics (ASan shadow checks on 32-byte lanes), and the

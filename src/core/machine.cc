@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/error.h"
 #include "md/engine.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace anton::core {
@@ -51,6 +53,14 @@ void name_trace_tracks(obs::TraceWriter* trace) {
   trace->process_name(obs::kPidMachine, "machine model (sim time)");
   trace->process_name(obs::kPidNoc, "torus noc (sim time)");
   trace->process_name(obs::kPidQueue, "event queue (sim time)");
+  trace->process_name(obs::kPidHost, "machine model (host wall clock)");
+}
+
+// Host time of the machine model's layers: machine.phase.<layer>.seconds
+// stats and wall-clock spans, recorded only when the call is telemetered.
+void enable_host_profile(obs::PhaseProfiler& prof, obs::MetricsRegistry* reg,
+                         obs::TraceWriter* trace) {
+  prof.enable(reg, "machine", trace, obs::kPidHost);
 }
 
 }  // namespace
@@ -103,8 +113,7 @@ PerfReport AntonMachine::estimate(const System& system, double dt_fs,
                                   int respa_k) const {
   ANTON_CHECK_MSG(dt_fs > 0 && std::isfinite(dt_fs),
                   "dt_fs must be positive and finite, got " << dt_fs);
-  ANTON_CHECK(respa_k >= 1);
-  const Workload w = Workload::build(system, config_);
+  ANTON_CHECK_MSG(respa_k >= 1, "respa_k must be >= 1, got " << respa_k);
   PerfReport r;
   r.machine = config_.name;
   r.nodes = nodes();
@@ -117,17 +126,36 @@ PerfReport AntonMachine::estimate(const System& system, double dt_fs,
       obs::TraceWriter::open(config_.trace_path);
   name_trace_tracks(trace.get());
   const bool telemetered = trace != nullptr || !config_.metrics_path.empty();
+  obs::PhaseProfiler prof;
+  if (telemetered) enable_host_profile(prof, &reg, trace.get());
 
-  StepOptions full{.include_long_range = true};
-  StepOptions part{.include_long_range = false};
+  const Workload w = [&] {
+    const auto s = prof.scope("workload");
+    return Workload::build(system, config_);
+  }();
+  StepOptions opts{.include_long_range = true};
   if (telemetered) {
-    full.metrics = part.metrics = &reg;
-    full.trace = part.trace = trace.get();
+    opts.metrics = &reg;
+    opts.trace = trace.get();
   }
-  r.full_step = simulate_step(w, config_, full);
+  // One graph and one runner replay both steps.
+  std::optional<TimestepRunner> runner;
+  {
+    const auto s = prof.scope("graph");
+    runner.emplace(w, config_, opts);
+  }
+  {
+    const auto s = prof.scope("replay_full");
+    runner->run_timestep(true);
+  }
+  r.full_step = runner->timing();
   // Lay the short step after the full one on the trace timeline.
-  part.trace_ts_offset_us = r.full_step.step_ns * 1e-3;
-  r.short_step = simulate_step(w, config_, part);
+  runner->set_trace_offset_us(r.full_step.step_ns * 1e-3);
+  {
+    const auto s = prof.scope("replay_short");
+    runner->run_timestep(false);
+  }
+  r.short_step = runner->timing();
 
   if (!config_.metrics_path.empty()) reg.save_json(config_.metrics_path);
   return r;
@@ -154,34 +182,38 @@ PerfReport AntonMachine::run(System& system, const MdParams& md_params,
   name_trace_tracks(trace.get());
   const bool telemetered = trace != nullptr || !config_.metrics_path.empty();
   if (telemetered) sim.use_telemetry(&reg, trace.get());
+  obs::PhaseProfiler prof;
+  if (telemetered) enable_host_profile(prof, &reg, trace.get());
 
   double full_ns = 0, short_ns = 0;
   int full_n = 0, short_n = 0;
   double sim_time_us = 0;  // trace-timeline cursor over simulated steps
-  // Between workload refreshes the step graph is identical, so the runners
-  // persist and replay allocation-free; they rebuild only when the
-  // decomposition does.
-  std::unique_ptr<TimestepRunner> full_runner, short_runner;
+  // Between workload refreshes the step graph is identical, so the runner
+  // persists and replays both steps allocation-free; it rebuilds only when
+  // the decomposition does.
+  std::optional<TimestepRunner> runner;
   for (int s = 0; s < steps; ++s) {
     if (s % workload_refresh == 0) {
-      const Workload w = Workload::build(sim.system(), config_);
-      StepOptions full_opts{.include_long_range = true};
-      StepOptions short_opts{.include_long_range = false};
+      const Workload w = [&] {
+        const auto scope = prof.scope("workload");
+        return Workload::build(sim.system(), config_);
+      }();
+      StepOptions opts{.include_long_range = true};
       if (telemetered) {
-        full_opts.metrics = short_opts.metrics = &reg;
-        full_opts.trace = short_opts.trace = trace.get();
+        opts.metrics = &reg;
+        opts.trace = trace.get();
       }
-      full_runner = std::make_unique<TimestepRunner>(w, config_, full_opts);
-      short_runner =
-          md_params.respa_k > 1
-              ? std::make_unique<TimestepRunner>(w, config_, short_opts)
-              : nullptr;
+      runner.reset();
+      const auto scope = prof.scope("graph");
+      runner.emplace(w, config_, opts);
     }
     const bool full = (s % md_params.respa_k == 0);
-    TimestepRunner& runner = full ? *full_runner : *short_runner;
-    if (telemetered) runner.set_trace_offset_us(sim_time_us);
-    runner.run_timestep();
-    const StepTiming t = runner.timing();
+    if (telemetered) runner->set_trace_offset_us(sim_time_us);
+    {
+      const auto scope = prof.scope(full ? "replay_full" : "replay_short");
+      runner->run_timestep(full);
+    }
+    const StepTiming t = runner->timing();
     sim_time_us += t.step_ns * 1e-3;
     if (full) {
       full_ns += t.step_ns;

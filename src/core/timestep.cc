@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <cmath>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -27,15 +28,23 @@ constexpr const char* kConstrain = "constrain";
 constexpr const char* kMigrate = "migrate";
 constexpr const char* kBarrier = "barrier";
 
-// Face-neighbour ranks (6) of a node in the decomposition grid.
-std::vector<int> face_neighbors(const DomainDecomp& dd, int rank) {
-  std::vector<int> out;
+// Face-neighbour ranks (up to 6, distinct, excluding the node itself) of a
+// node in the decomposition grid.
+struct FaceNeighbors {
+  std::array<int, 6> rank{};
+  int count = 0;
+  const int* begin() const { return rank.data(); }
+  const int* end() const { return rank.data() + count; }
+};
+
+FaceNeighbors face_neighbors(const DomainDecomp& dd, int rank) {
+  FaceNeighbors out;
   static const NodeOffset kFaces[6] = {{1, 0, 0},  {-1, 0, 0}, {0, 1, 0},
                                        {0, -1, 0}, {0, 0, 1},  {0, 0, -1}};
   for (const auto& f : kFaces) {
     const int n = dd.neighbor_rank(rank, f);
     if (n != rank && std::find(out.begin(), out.end(), n) == out.end()) {
-      out.push_back(n);
+      out.rank[static_cast<size_t>(out.count++)] = n;
     }
   }
   return out;
@@ -55,18 +64,37 @@ TaskGraph build_step_graph(const Workload& w,
                            bool include_long_range) {
   const DomainDecomp& dd = w.decomp();
   const int P = w.num_nodes();
+  const size_t np = static_cast<size_t>(P);
   const bool bsp = config.sync == arch::SyncModel::kBulkSynchronous;
   const bool lr = include_long_range;
 
+  // Exact upper bounds, so each array is allocated once: 8 tasks per node
+  // (16 with the long-range chain), an import proxy per position
+  // destination, a tile plus a force-return proxy per tile; the edge counts
+  // follow the sections below.
+  size_t num_imports = 0, num_tiles = 0;
+  for (int v = 0; v < P; ++v) {
+    num_imports += w.node(v).pos_destinations.size();
+    num_tiles += w.node(v).tiles.size();
+  }
+  const size_t row_peers =
+      static_cast<size_t>(config.noc.nx + config.noc.ny);
   TaskGraph g;
+  g.reserve(np * (lr ? 16 : 8) + num_imports + 2 * num_tiles + 8,
+            3 * num_tiles + num_imports + np * (lr ? 14 : 6) +
+                (bsp ? 9 * np + num_imports + 3 * num_tiles +
+                           (lr ? 12 * np : 0)
+                     : 0),
+            num_tiles + 6 * np + (lr ? np * (12 + 2 * row_peers) : 0) +
+                (config.use_multicast ? 0 : num_imports),
+            config.use_multicast ? num_imports : 0);
 
   // --- create per-node tasks ----------------------------------------------
-  std::vector<int> t_pos(P), t_pair_local(P), t_bonded_local(P);
-  std::vector<int> t_bonded_boundary(P), t_integrate(P), t_constrain(P);
-  std::vector<int> t_migrate(P), t_end(P);
-  std::vector<int> t_spread(P), t_interp(P);
-  std::vector<std::array<int, 6>> t_fft(static_cast<size_t>(P));
-  std::vector<std::vector<int>> tile_tasks(static_cast<size_t>(P));
+  std::vector<int> t_pos(np), t_pair_local(np), t_bonded_local(np);
+  std::vector<int> t_bonded_boundary(np), t_integrate(np), t_constrain(np);
+  std::vector<int> t_migrate(np), t_end(np);
+  std::vector<int> t_spread(np), t_interp(np);
+  std::vector<std::array<int, 6>> t_fft(np);
 
   auto bonded_cycles = [&](const BondedCounts& b) {
     return b.bonds * config.cycles_per_bond +
@@ -122,30 +150,45 @@ TaskGraph build_step_graph(const Workload& w,
           static_cast<double>(nw.atoms) * w.spread_support_points();
       t_spread[v] = g.add_task(v, Unit::kHtis,
                                config.htis_time_ns(grid_interactions),
-                               kSpread);
+                               kSpread, /*long_range=*/true);
       for (int s = 0; s < 6; ++s) {
         t_fft[static_cast<size_t>(v)][static_cast<size_t>(s)] =
-            g.add_task(v, Unit::kGc, config.gc_time_ns(fft_stage_cycles), kFft);
+            g.add_task(v, Unit::kGc, config.gc_time_ns(fft_stage_cycles), kFft,
+                       /*long_range=*/true);
       }
       t_interp[v] = g.add_task(v, Unit::kHtis,
                                config.htis_time_ns(grid_interactions),
-                               kInterp);
+                               kInterp, /*long_range=*/true);
     }
   }
 
   // --- position multicast + import proxies --------------------------------
   // For each node v that exports positions, one zero-cost import proxy per
   // destination node; tiles and boundary bonded work hang off the proxies.
-  // proxy_on[u][v] = proxy task on node u for positions arriving from v.
-  std::vector<std::map<int, int>> proxy_on(static_cast<size_t>(P));
+  // imports[import_off[u] ..] = (v, proxy task on node u for positions
+  // arriving from v), ascending in v.
+  struct Import {
+    int src;
+    int proxy;
+  };
+  std::vector<int> import_off(np + 1, 0);
+  for (int v = 0; v < P; ++v) {
+    for (int u : w.node(v).pos_destinations) {
+      import_off[static_cast<size_t>(u) + 1]++;
+    }
+  }
+  for (size_t u = 0; u < np; ++u) import_off[u + 1] += import_off[u];
+  std::vector<Import> imports(num_imports);
+  std::vector<int> import_fill(import_off.begin(), import_off.end() - 1);
+  std::vector<int> proxies;
   for (int v = 0; v < P; ++v) {
     const NodeWork& nw = w.node(v);
     if (nw.pos_destinations.empty()) continue;
-    std::vector<int> proxies;
-    proxies.reserve(nw.pos_destinations.size());
+    proxies.clear();
     for (int u : nw.pos_destinations) {
       const int proxy = g.add_task(u, Unit::kSync, 0.0, kImport);
-      proxy_on[static_cast<size_t>(u)][v] = proxy;
+      imports[static_cast<size_t>(import_fill[static_cast<size_t>(u)]++)] = {
+          v, proxy};
       proxies.push_back(proxy);
     }
     const double pos_bytes = nw.atoms * config.bytes_per_position;
@@ -155,12 +198,19 @@ TaskGraph build_step_graph(const Workload& w,
       for (int proxy : proxies) g.add_message(t_pos[v], proxy, pos_bytes);
     }
   }
+  auto imports_on = [&](int u) {
+    return std::span(imports.data() + import_off[static_cast<size_t>(u)],
+                     static_cast<size_t>(import_off[static_cast<size_t>(u) + 1] -
+                                         import_off[static_cast<size_t>(u)]));
+  };
 
   // --- pairwise tiles + force return --------------------------------------
-  // Incoming force-return proxies per node (for BSP barrier bookkeeping).
-  std::vector<std::vector<int>> freturn_proxies(static_cast<size_t>(P));
+  // Each tile task is followed by its force-return proxy, so node u's tiles
+  // are tasks first_tile[u] + 2k.
+  std::vector<int> first_tile(np);
   for (int u = 0; u < P; ++u) {
     const NodeWork& nw = w.node(u);
+    first_tile[static_cast<size_t>(u)] = g.num_tasks();
     for (const auto& tile : nw.tiles) {
       const NodeOffset& off =
           w.tile_offsets()[static_cast<size_t>(tile.offset_index)];
@@ -168,17 +218,17 @@ TaskGraph build_step_graph(const Workload& w,
       const int t_tile = g.add_task(
           u, Unit::kHtis,
           config.htis_time_ns(static_cast<double>(tile.pairs)), kPairTile);
-      tile_tasks[static_cast<size_t>(u)].push_back(t_tile);
       // The tile needs v's positions.
-      const auto it = proxy_on[static_cast<size_t>(u)].find(v);
-      ANTON_CHECK_MSG(it != proxy_on[static_cast<size_t>(u)].end(),
-                      "tile without matching import");
-      g.add_local_dep(it->second, t_tile);
+      int proxy = -1;
+      for (const Import& im : imports_on(u)) {
+        if (im.src == v) proxy = im.proxy;
+      }
+      ANTON_CHECK_MSG(proxy >= 0, "tile without matching import");
+      g.add_local_dep(proxy, t_tile);
       // Local force contribution feeds integration directly.
       g.add_local_dep(t_tile, t_integrate[u]);
       // Remote forces return to v.
       const int fprox = g.add_task(v, Unit::kSync, 0.0, kForceReturn);
-      freturn_proxies[static_cast<size_t>(v)].push_back(fprox);
       g.add_message(t_tile, fprox,
                     static_cast<double>(tile.remote_atoms) *
                         config.bytes_per_force);
@@ -189,9 +239,8 @@ TaskGraph build_step_graph(const Workload& w,
   // --- local dependencies --------------------------------------------------
   for (int v = 0; v < P; ++v) {
     // Boundary bonded terms need every import this node receives.
-    for (const auto& [src, proxy] : proxy_on[static_cast<size_t>(v)]) {
-      (void)src;
-      g.add_local_dep(proxy, t_bonded_boundary[v]);
+    for (const Import& im : imports_on(v)) {
+      g.add_local_dep(im.proxy, t_bonded_boundary[v]);
     }
     g.add_local_dep(t_pair_local[v], t_integrate[v]);
     g.add_local_dep(t_bonded_local[v], t_integrate[v]);
@@ -263,37 +312,37 @@ TaskGraph build_step_graph(const Workload& w,
   // --- BSP barriers ---------------------------------------------------------
   if (bsp) {
     const double cost = barrier_cost_ns(config);
-    auto make_barrier = [&]() {
-      return g.add_task(0, Unit::kSync, cost, kBarrier);
+    auto make_barrier = [&](bool long_range) {
+      return g.add_task(0, Unit::kSync, cost, kBarrier, long_range);
+    };
+    auto tiles_of = [&](int u) {
+      const int first = first_tile[static_cast<size_t>(u)];
+      const int n = static_cast<int>(w.node(u).tiles.size());
+      return std::pair{first, first + 2 * n};
     };
     // B1: after position exchange, before anything that consumes imports.
-    const int b1 = make_barrier();
+    const int b1 = make_barrier(false);
     for (int v = 0; v < P; ++v) {
       g.add_barrier_dep(t_pos[v], b1);
-      for (const auto& [src, proxy] : proxy_on[static_cast<size_t>(v)]) {
-        (void)src;
-        g.add_barrier_dep(proxy, b1);
-      }
+      for (const Import& im : imports_on(v)) g.add_barrier_dep(im.proxy, b1);
     }
     for (int v = 0; v < P; ++v) {
       g.add_barrier_dep(b1, t_pair_local[v]);
-      for (int t : tile_tasks[static_cast<size_t>(v)]) {
-        g.add_barrier_dep(b1, t);
-      }
+      const auto [lo, hi] = tiles_of(v);
+      for (int t = lo; t < hi; t += 2) g.add_barrier_dep(b1, t);
       g.add_barrier_dep(b1, t_bonded_local[v]);
       g.add_barrier_dep(b1, t_bonded_boundary[v]);
       if (lr) g.add_barrier_dep(b1, t_spread[v]);
     }
 
     // B2: after all force computation and force returns, before integration.
-    const int b2 = make_barrier();
+    const int b2 = make_barrier(false);
     for (int v = 0; v < P; ++v) {
       g.add_barrier_dep(t_pair_local[v], b2);
-      for (int t : tile_tasks[static_cast<size_t>(v)]) {
+      const auto [lo, hi] = tiles_of(v);
+      for (int t = lo; t < hi; t += 2) {
         g.add_barrier_dep(t, b2);
-      }
-      for (int fp : freturn_proxies[static_cast<size_t>(v)]) {
-        g.add_barrier_dep(fp, b2);
+        g.add_barrier_dep(t + 1, b2);  // the tile's force-return proxy
       }
       g.add_barrier_dep(t_bonded_local[v], b2);
       g.add_barrier_dep(t_bonded_boundary[v], b2);
@@ -307,7 +356,7 @@ TaskGraph build_step_graph(const Workload& w,
     // consecutive FFT stages.
     if (lr) {
       for (int s = 0; s < 5; ++s) {
-        const int bf = make_barrier();
+        const int bf = make_barrier(true);
         for (int v = 0; v < P; ++v) {
           g.add_barrier_dep(t_fft[static_cast<size_t>(v)][static_cast<size_t>(s)],
                             bf);
@@ -318,6 +367,7 @@ TaskGraph build_step_graph(const Workload& w,
     }
   }
 
+  g.finalize();
   return g;
 }
 
@@ -326,7 +376,7 @@ TimestepRunner::TimestepRunner(const Workload& workload,
                                const StepOptions& options)
     : config_(config),
       options_(options),
-      graph_(build_step_graph(workload, config, options.include_long_range)),
+      graph_(build_step_graph(workload, config, /*include_long_range=*/true)),
       torus_(config.noc, &queue_) {
   obs::MetricsRegistry* reg = options_.metrics;
   obs::TraceWriter* trace = options_.trace;
@@ -348,7 +398,7 @@ TimestepRunner::TimestepRunner(const Workload& workload,
   }
 }
 
-double TimestepRunner::run_timestep() {
+double TimestepRunner::run_timestep(bool include_long_range) {
   // Fresh simulated clock: the queue clock restarts at zero and link
   // busy-until horizons clear, so every replay sees an identical machine.
   queue_.reset();
@@ -361,7 +411,8 @@ double TimestepRunner::run_timestep() {
   obs::PerfSample perf0;
   if (sample_perf) perf0 = perf_->read();
 
-  const ExecStats& ex = executor_.run(graph_, config_, torus_, queue_, trace);
+  const ExecStats& ex = executor_.run(graph_, config_, torus_, queue_, trace,
+                                      obs::kPidMachine, include_long_range);
   step_ns_ = ex.makespan_ns;
 
   if (sample_perf && perf0.valid) {

@@ -16,11 +16,13 @@
 //
 // A "short" step omits the long-range (mesh/FFT) phases — the RESPA inner
 // step; the full/short mix reproduces the machine's multiple-time-step
-// cadence.
+// cadence.  The short step is not a graph of its own: the graph flags its
+// long-range tasks, and the short step replays the full graph with them
+// masked out.
 //
-// TimestepRunner is the persistent form: it builds the graph once and owns
-// the queue/torus/executor, so re-running the same step (the steady state
-// between workload refreshes, and every bench sweep replica) is
+// TimestepRunner is the persistent form: it builds the full graph once and
+// owns the queue/torus/executor, so re-running either step (the steady
+// state between workload refreshes, and every bench sweep replica) is
 // allocation-free with telemetry off.  simulate_step() wraps a throwaway
 // runner for one-shot callers.
 #pragma once
@@ -39,6 +41,8 @@
 namespace anton::core {
 
 struct StepOptions {
+  // Which step run_timestep() replays: the full step, or the RESPA short
+  // step without the long-range phases.
   bool include_long_range = true;
   // Optional telemetry.  When `metrics` is set, the step exports per-phase
   // busy time, critical-path attribution, queue statistics, NoC latency/hop
@@ -62,29 +66,39 @@ struct StepTiming {
 };
 
 // Builds the task graph of one timestep (all tasks, dependencies, messages,
-// multicasts, and — in BSP mode — barriers) without executing it.
+// multicasts, and — in BSP mode — barriers) without executing it.  The
+// mesh/FFT tasks (and BSP's FFT barriers) are flagged long-range; with
+// include_long_range false they are not built at all.  Returns a
+// finalized graph.
 TaskGraph build_step_graph(const Workload& workload,
                            const arch::MachineConfig& config,
                            bool include_long_range);
 
-// Persistent timestep simulator: one graph, one event queue, one torus, one
-// executor, re-run on demand.  run_timestep() resets the simulated clock and
-// link horizons, replays the graph, and returns the makespan; with telemetry
-// off, the second and later calls perform zero heap allocations.
+// Persistent timestep simulator: one full-step graph, one event queue, one
+// torus, one executor, re-run on demand.  run_timestep() resets the
+// simulated clock and link horizons, replays the graph (all of it, or the
+// short step's subset), and returns the makespan; with telemetry off, the
+// steady state performs zero heap allocations in either mode.
 class TimestepRunner {
  public:
   TimestepRunner(const Workload& workload, const arch::MachineConfig& config,
                  const StepOptions& options = {});
 
-  // Replays the step; returns makespan_ns.  Deterministic: every call
-  // produces identical timing.
-  double run_timestep();
+  // Replays the step StepOptions::include_long_range names; returns
+  // makespan_ns.  Deterministic: every call produces identical timing.
+  double run_timestep() { return run_timestep(options_.include_long_range); }
+  // Replays the full step (true) or the RESPA short step (false).
+  double run_timestep(bool include_long_range);
 
   // Stats of the last run_timestep() (valid after the first call).
   const ExecStats& exec() const { return executor_.stats(); }
   double step_ns() const { return step_ns_; }
   // Convenience copy in the simulate_step() result shape.
   StepTiming timing() const;
+
+  const TaskGraph& graph() const { return graph_; }
+  // The event queue, for its counters (executed(), arena_slots()).
+  const sim::EventQueue& queue() const { return queue_; }
 
   // Re-places this runner's steps on a shared trace timeline (each run
   // starts its queue clock at zero).

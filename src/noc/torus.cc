@@ -28,6 +28,7 @@ Torus::Torus(const TorusConfig& config, sim::EventQueue* queue)
   link_derate_.assign(link_free_.size(), 1.0);
   mcast_head_.assign(link_free_.size(), 0.0);
   mcast_mark_.assign(link_free_.size(), 0);
+  first_stream_ = queue_->add_streams(static_cast<int>(link_free_.size()));
   for (const auto& d : config.derated_links) {
     derate_link(d.node, d.dir, d.factor);
   }
@@ -148,7 +149,8 @@ sim::SimTime Torus::traverse(sim::SimTime now, std::span<const LinkId> links,
   return head + last_ser_ns;
 }
 
-sim::SimTime Torus::plan_unicast(int src, int dst, double bytes) {
+sim::SimTime Torus::plan_unicast(int src, int dst, double bytes,
+                                 int* last_link) {
   ANTON_HOT_NOALLOC();
   const sim::SimTime now = queue_->now();
   ANTON_CHECK(src >= 0 && src < num_nodes() && dst >= 0 && dst < num_nodes());
@@ -163,6 +165,7 @@ sim::SimTime Torus::plan_unicast(int src, int dst, double bytes) {
     route_into(src, dst, route_scratch_);
     hops = static_cast<int>(route_scratch_.size());
     deliver = traverse(now, route_scratch_, wire_bytes);
+    *last_link = link_index(route_scratch_.back());
   }
   stats_.messages++;
   // total_bytes counts link-bytes (payload × links traversed) so unicast and
@@ -190,6 +193,8 @@ void Torus::plan_multicast(int src, std::span<const int> dsts,
   ++mcast_gen_;
   mcast_deliver_.resize(  // anton-lint: allow(hot-alloc) amortized scratch
       dsts.size());
+  mcast_last_link_.resize(  // anton-lint: allow(hot-alloc) amortized scratch
+      dsts.size());
   uint64_t tree_links = 0;
   const sim::SimTime inject = now + config_.injection_overhead_ns;
 
@@ -199,6 +204,7 @@ void Torus::plan_multicast(int src, std::span<const int> dsts,
     sim::SimTime head = inject;
     int hops = 0;
     double last_ser_ns = ser_ns;
+    int last_link = -1;
     if (dst != src) {
       // Multicast trees are always dimension-ordered: the hardware tree
       // relies on branches sharing route prefixes, which randomised axis
@@ -224,11 +230,13 @@ void Torus::plan_multicast(int src, std::span<const int> dsts,
           head = start + config_.hop_latency_ns;
         }
         last_ser_ns = link_ser;
+        last_link = static_cast<int>(idx);
         ++hops;
       }
     }
     const sim::SimTime deliver = head + (dst == src ? 0.0 : last_ser_ns);
     mcast_deliver_[di] = deliver;
+    mcast_last_link_[di] = last_link;
     stats_.messages++;
     stats_.latency_ns.add(deliver - now);
     stats_.hops.add(hops);

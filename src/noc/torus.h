@@ -114,13 +114,14 @@ class Torus {
   template <class F>
   void unicast(int src, int dst, double bytes, F&& on_delivery) {
     ANTON_HOT_NOALLOC();
-    const sim::SimTime deliver = plan_unicast(src, dst, bytes);
+    int last_link = -1;
+    const sim::SimTime deliver = plan_unicast(src, dst, bytes, &last_link);
     ++injected_;
-    queue_->schedule_at(deliver,
-                        [this, cb = std::forward<F>(on_delivery)]() mutable {
-                          ++delivered_;
-                          cb();
-                        });
+    deliver_at(deliver, last_link,
+               [this, cb = std::forward<F>(on_delivery)]() mutable {
+                 ++delivered_;
+                 cb();
+               });
   }
 
   // Multicasts along the dimension-ordered tree; on_delivery(i) fires once
@@ -136,11 +137,11 @@ class Torus {
     plan_multicast(src, dsts, bytes);
     for (size_t i = 0; i < dsts.size(); ++i) {
       ++injected_;
-      queue_->schedule_at(mcast_deliver_[i],
-                          [this, cb = on_delivery, i]() mutable {
-                            ++delivered_;
-                            cb(static_cast<int>(i));
-                          });
+      deliver_at(mcast_deliver_[i], mcast_last_link_[i],
+                 [this, cb = on_delivery, i]() mutable {
+                   ++delivered_;
+                   cb(static_cast<int>(i));
+                 });
     }
   }
 
@@ -209,10 +210,24 @@ class Torus {
 
   // Non-template halves of the send path: all routing, contention and stats
   // bookkeeping, using persistent scratch.  plan_unicast returns the
-  // delivery time; plan_multicast fills mcast_deliver_[i] per destination.
-  // Both read "now" from the attached queue.
-  sim::SimTime plan_unicast(int src, int dst, double bytes);
+  // delivery time and the index of the final link (-1 for a self-send);
+  // plan_multicast fills mcast_deliver_[i] and mcast_last_link_[i] per
+  // destination.  Both read "now" from the attached queue.
+  sim::SimTime plan_unicast(int src, int dst, double bytes, int* last_link);
   void plan_multicast(int src, std::span<const int> dsts, double bytes);
+
+  // Schedules a delivery.  Deliveries over one final link clear it in the
+  // order they reserved it, so they ride the link's ordered stream and the
+  // event heap holds one pending delivery per link; a self-send, which
+  // crosses no link, is scheduled directly.
+  template <class F>
+  void deliver_at(sim::SimTime t, int last_link, F&& fn) {
+    if (last_link < 0) {
+      queue_->schedule_at(t, std::forward<F>(fn));
+    } else {
+      queue_->schedule_on(first_stream_ + last_link, t, std::forward<F>(fn));
+    }
+  }
 
   // Appends the policy-selected route to `out` (persistent-scratch variant
   // of route()).
@@ -222,6 +237,7 @@ class Torus {
 
   TorusConfig config_;
   sim::EventQueue* queue_;
+  int first_stream_ = 0;  // the queue stream of link 0
   std::vector<sim::SimTime> link_free_;   // busy-until per directed link
   std::vector<double> link_busy_total_;   // accumulated occupancy
   std::vector<double> link_derate_;       // serialization multiplier per link
@@ -233,6 +249,7 @@ class Torus {
   // Send-path scratch (persistent; grown once, recycled every call).
   mutable std::vector<LinkId> route_scratch_;
   std::vector<sim::SimTime> mcast_deliver_;  // per-destination delivery time
+  std::vector<int> mcast_last_link_;         // per-destination final link
   // Generation-stamped multicast tree: mcast_mark_[link] == mcast_gen_
   // means the link already carries this multicast's payload and
   // mcast_head_[link] is the head departure time — replaces the per-call

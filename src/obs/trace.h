@@ -11,6 +11,7 @@
 //   kPidMachine DES task-graph execution — SimTime
 //   kPidNoc     torus packet lifecycles and per-link occupancy — SimTime
 //   kPidQueue   event-queue depth counter track — SimTime
+//   kPidHost    machine-model layers (workload, graph, replay) — wall clock
 //
 // Events are appended to the output stream under a mutex as they are
 // reported, so traces survive crashes up to the last flush and memory use
@@ -36,6 +37,7 @@ inline constexpr int kPidMd = 1;
 inline constexpr int kPidMachine = 2;
 inline constexpr int kPidNoc = 3;
 inline constexpr int kPidQueue = 4;
+inline constexpr int kPidHost = 5;
 
 class TraceWriter {
  public:

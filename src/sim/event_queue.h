@@ -11,6 +11,14 @@
 // min-heap (half the depth of a binary heap, and sifts move POD entries,
 // never closures).  step() *moves* the callable out of its slot — the
 // closure copy of the old priority_queue::top() is structurally impossible.
+//
+// Ordered streams keep the heap small.  A component whose events come in
+// time order by construction — the deliveries over one torus link clear
+// the link in the order they reserved it — schedules them on a stream: the
+// heap holds only each stream's earliest event, the rest wait in the
+// stream's FIFO and enter the heap when their predecessor pops.  Every
+// event keeps the sequence number it took when scheduled, so the pop order
+// is exactly the one a heap holding every event would produce.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +40,7 @@ using SimTime = double;  // nanoseconds
 // check per event when untelemetered.
 struct QueueTelemetry {
   obs::Counter* executed = nullptr;    // events executed
-  obs::Histo* depth = nullptr;         // heap size sampled at each step()
+  obs::Histo* depth = nullptr;         // pending() sampled at each step()
   obs::Histo* horizon_ns = nullptr;    // schedule distance t - now per event
   obs::TraceWriter* trace = nullptr;   // "queue.pending" counter track
   int trace_pid = obs::kPidQueue;
@@ -49,22 +57,39 @@ class EventQueue {
   template <class F>
   void schedule_at(SimTime t, F&& fn) {
     ANTON_HOT_NOALLOC();
-    ANTON_CHECK_MSG(t >= now_ - 1e-9, "event scheduled in the past: t="
-                                          << t << " now=" << now_);
-    if (telemetry_.horizon_ns != nullptr)
-      telemetry_.horizon_ns->add(std::max(0.0, t - now_));
-    uint32_t slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    } else {
-      slot = static_cast<uint32_t>(arena_.size());
-      arena_.emplace_back();  // anton-lint: allow(hot-alloc) amortized warmup
+    const uint32_t slot = store(t, std::forward<F>(fn));
+    push_entry(t, seq_++, slot, -1);
+  }
+
+  // Adds n ordered streams; returns the first one's id.
+  int add_streams(int n) {
+    ANTON_CHECK(n >= 0);
+    const int first = static_cast<int>(stream_tail_.size());
+    stream_tail_.resize(stream_tail_.size() + static_cast<size_t>(n), -1);
+    return first;
+  }
+
+  // Schedules fn at t on `stream`; t must be no earlier than the stream's
+  // latest pending event.  Pops exactly where schedule_at(t, fn) would.
+  template <class F>
+  void schedule_on(int stream, SimTime t, F&& fn) {
+    ANTON_HOT_NOALLOC();
+    int32_t& tail = stream_tail_[static_cast<size_t>(stream)];
+    ANTON_CHECK_MSG(tail < 0 || t >= waiting_[static_cast<size_t>(tail)].time,
+                    "stream " << stream << " out of order: t=" << t
+                              << " after "
+                              << waiting_[static_cast<size_t>(tail)].time);
+    const uint32_t slot = store(t, std::forward<F>(fn));
+    const uint64_t seq = seq_++;
+    waiting_[slot] = {t, seq, -1};
+    if (tail < 0) {  // the stream is idle: this event is its head
+      tail = static_cast<int32_t>(slot);
+      push_entry(t, seq, slot, stream);
+      return;
     }
-    arena_[slot].emplace(std::forward<F>(fn));
-    heap_.push_back(  // anton-lint: allow(hot-alloc) amortized warmup
-        Entry{t, seq_++, slot});
-    sift_up(heap_.size() - 1);
+    waiting_[static_cast<size_t>(tail)].next = static_cast<int32_t>(slot);
+    tail = static_cast<int32_t>(slot);
+    ++waiting_count_;
   }
 
   template <class F>
@@ -76,7 +101,8 @@ class EventQueue {
 
   SimTime now() const { return now_; }
   bool empty() const { return heap_.empty(); }
-  size_t pending() const { return heap_.size(); }
+  // Events scheduled and not yet executed (in the heap or a stream).
+  size_t pending() const { return heap_.size() + waiting_count_; }
   uint64_t executed() const { return executed_; }
 
   // Runs events until the queue drains; returns the final time.
@@ -98,6 +124,15 @@ class EventQueue {
     ANTON_CHECK_INVARIANT(top.time >= now_ - 1e-9,
                           "event queue time ran backwards: event t="
                               << top.time << " now=" << now_);
+    // Among equal timestamps, sequence numbers rise (FIFO); a stream that
+    // released an event late would break it.
+    ANTON_CHECK_INVARIANT(top.time != last_time_ || top.seq > last_seq_,
+                          "event popped out of (time, seq) order: t="
+                              << top.time << " seq=" << top.seq
+                              << " after seq=" << last_seq_);
+    last_time_ = top.time;
+    last_seq_ = top.seq;
+    if (top.stream >= 0) advance(top.stream, top.slot);
     now_ = std::max(now_, top.time);
     ++executed_;
     // Flight record on the simulated clock: no wall-time read in this loop.
@@ -125,18 +160,19 @@ class EventQueue {
     now_ = 0;
     seq_ = 0;
     executed_ = 0;
+    last_time_ = -1;
   }
 
-  // Pool accounting: every arena slot is either on the free list or
-  // referenced by exactly one pending heap entry.  A mismatch means a slot
-  // leaked (scheduled but never freed) or was double-freed.
+  // Pool accounting: every arena slot is either on the free list or holds
+  // exactly one pending event.  A mismatch means a slot leaked (scheduled
+  // but never freed) or was double-freed.
   size_t arena_slots() const { return arena_.size(); }
   size_t arena_free() const { return free_.size(); }
   void check_arena() const {
-    ANTON_CHECK_MSG(arena_.size() == free_.size() + heap_.size(),
+    ANTON_CHECK_MSG(arena_.size() == free_.size() + pending(),
                     "event arena leak: " << arena_.size() << " slots, "
                                          << free_.size() << " free, "
-                                         << heap_.size() << " pending");
+                                         << pending() << " pending");
   }
 
  private:
@@ -144,8 +180,59 @@ class EventQueue {
     SimTime time;
     uint64_t seq;
     uint32_t slot;
+    int32_t stream;  // -1: not on a stream
   };
   static_assert(std::is_trivially_copyable_v<Entry>);
+
+  // A stream event waiting behind its predecessor, by arena slot.
+  struct Waiting {
+    SimTime time;
+    uint64_t seq;
+    int32_t next;  // next waiting slot of the stream, or -1
+  };
+
+  // Places fn in a free arena slot (growing the arena and its parallel
+  // waiting table during warm-up).
+  template <class F>
+  uint32_t store(SimTime t, F&& fn) {
+    ANTON_HOT_NOALLOC();
+    ANTON_CHECK_MSG(t >= now_ - 1e-9, "event scheduled in the past: t="
+                                          << t << " now=" << now_);
+    if (telemetry_.horizon_ns != nullptr)
+      telemetry_.horizon_ns->add(std::max(0.0, t - now_));
+    uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = static_cast<uint32_t>(arena_.size());
+      arena_.emplace_back();  // anton-lint: allow(hot-alloc) amortized warmup
+      waiting_.emplace_back();  // anton-lint: allow(hot-alloc) amortized warmup
+    }
+    arena_[slot].emplace(std::forward<F>(fn));
+    return slot;
+  }
+
+  void push_entry(SimTime t, uint64_t seq, uint32_t slot, int stream) {
+    ANTON_HOT_NOALLOC();
+    heap_.push_back(  // anton-lint: allow(hot-alloc) amortized warmup
+        Entry{t, seq, slot, stream});
+    sift_up(heap_.size() - 1);
+  }
+
+  // The stream's head (`slot`) popped: its next waiting event enters the
+  // heap under the time and sequence number it was scheduled with.
+  void advance(int stream, uint32_t slot) {
+    ANTON_HOT_NOALLOC();
+    const int32_t next = waiting_[slot].next;
+    if (next < 0) {
+      stream_tail_[static_cast<size_t>(stream)] = -1;
+      return;
+    }
+    const Waiting& w = waiting_[static_cast<size_t>(next)];
+    --waiting_count_;
+    push_entry(w.time, w.seq, static_cast<uint32_t>(next), stream);
+  }
 
   static bool before(const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -190,20 +277,25 @@ class EventQueue {
   void observe_step() {
     if (telemetry_.executed != nullptr) telemetry_.executed->add();
     if (telemetry_.depth != nullptr)
-      telemetry_.depth->add(double(heap_.size()));
+      telemetry_.depth->add(double(pending()));
     if (telemetry_.trace != nullptr &&
         executed_ % std::max<uint32_t>(1, telemetry_.trace_stride) == 0) {
       telemetry_.trace->counter("queue.pending", now_ * 1e-3,
                                 telemetry_.trace_pid, "events",
-                                double(heap_.size()));
+                                double(pending()));
     }
   }
 
   std::vector<Entry> heap_;       // 4-ary min-heap over (time, seq)
   std::vector<Callback> arena_;   // pooled callables, indexed by Entry::slot
   std::vector<uint32_t> free_;    // recycled arena slots (LIFO)
+  std::vector<Waiting> waiting_;  // per arena slot, for stream events
+  std::vector<int32_t> stream_tail_;  // last pending slot per stream, or -1
+  size_t waiting_count_ = 0;      // stream events not yet in the heap
   SimTime now_ = 0;
   uint64_t seq_ = 0;
+  SimTime last_time_ = -1;  // (time, seq) of the last popped event
+  uint64_t last_seq_ = 0;
   uint64_t executed_ = 0;
   QueueTelemetry telemetry_;
 };

@@ -143,5 +143,46 @@ TEST(DesNoAlloc, ShortStepRunnerAllocatesNothing) {
   EXPECT_EQ(first, again);
 }
 
+TEST(DesNoAlloc, AlternatingFullAndShortStepsAllocateNothing) {
+  // The machine run loop's steady state: one runner alternating the full
+  // and the short step.  Each mode keeps its own stats maps warm, so after
+  // one warm-up round neither mode allocates, and every round repeats the
+  // first bit for bit.
+  BuilderOptions opt;
+  opt.total_atoms = 2048;
+  opt.temperature_k = -1;
+  const System sys = build_solvated_system(opt);
+  const arch::MachineConfig cfg = arch::MachineConfig::anton2(2, 2, 2);
+  const core::Workload workload = core::Workload::build(sys, cfg);
+
+  core::TimestepRunner runner(workload, cfg, {});
+  const double full = runner.run_timestep(true);
+  const core::ExecStats full_stats = runner.exec();
+  const double part = runner.run_timestep(false);
+  const core::ExecStats short_stats = runner.exec();
+  EXPECT_LT(short_stats.tasks_executed, full_stats.tasks_executed);
+  EXPECT_EQ(short_stats.phase_busy_ns.count("fft"), 0u);
+
+  for (int round = 0; round < 3; ++round) {
+    const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
+    const double f = runner.run_timestep(true);
+    const bool full_same = runner.exec().phase_busy_ns ==
+                               full_stats.phase_busy_ns &&
+                           runner.exec().critical_path_ns ==
+                               full_stats.critical_path_ns;
+    const double s = runner.run_timestep(false);
+    const bool short_same = runner.exec().phase_busy_ns ==
+                                short_stats.phase_busy_ns &&
+                            runner.exec().critical_path_ns ==
+                                short_stats.critical_path_ns;
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0)
+        << "round " << round;
+    EXPECT_EQ(f, full);
+    EXPECT_EQ(s, part);
+    EXPECT_TRUE(full_same) << "round " << round;
+    EXPECT_TRUE(short_same) << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace anton

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "chem/builder.h"
 #include "core/machine.h"
@@ -39,6 +43,81 @@ TEST(Timestep, ShortStepFasterThanFull) {
   EXPECT_LT(srt.step_ns, full.step_ns);
   EXPECT_EQ(srt.phase_ns("fft"), 0.0);
   EXPECT_GT(full.phase_ns("fft"), 0.0);
+}
+
+uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void expect_same_running_stat(const RunningStat& a, const RunningStat& b,
+                              const std::string& what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(bits(a.sum()), bits(b.sum())) << what;
+  EXPECT_EQ(bits(a.mean()), bits(b.mean())) << what;
+  EXPECT_EQ(bits(a.variance()), bits(b.variance())) << what;
+  EXPECT_EQ(bits(a.min()), bits(b.min())) << what;
+  EXPECT_EQ(bits(a.max()), bits(b.max())) << what;
+}
+
+// Every ExecStats field, doubles compared as bits and maps with their key
+// sets.
+void expect_same_stats(const ExecStats& a, const ExecStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(bits(a.makespan_ns), bits(b.makespan_ns)) << what;
+  EXPECT_EQ(a.tasks_executed, b.tasks_executed) << what;
+  EXPECT_EQ(bits(a.critical_wait_ns), bits(b.critical_wait_ns)) << what;
+  EXPECT_EQ(bits(a.max_node_busy_ns), bits(b.max_node_busy_ns)) << what;
+  EXPECT_EQ(bits(a.mean_node_busy_ns), bits(b.mean_node_busy_ns)) << what;
+  EXPECT_EQ(a.phase_busy_ns, b.phase_busy_ns) << what;
+  EXPECT_EQ(a.phase_end_ns, b.phase_end_ns) << what;
+  EXPECT_EQ(a.critical_path_ns, b.critical_path_ns) << what;
+  EXPECT_EQ(a.noc.messages, b.noc.messages) << what;
+  EXPECT_EQ(bits(a.noc.total_bytes), bits(b.noc.total_bytes)) << what;
+  EXPECT_EQ(bits(a.noc.max_link_busy_ns), bits(b.noc.max_link_busy_ns))
+      << what;
+  EXPECT_EQ(bits(a.noc.total_link_busy_ns), bits(b.noc.total_link_busy_ns))
+      << what;
+  expect_same_running_stat(a.noc.latency_ns, b.noc.latency_ns,
+                           what + " latency");
+  expect_same_running_stat(a.noc.hops, b.noc.hops, what + " hops");
+}
+
+TEST(Timestep, MaskedShortStepMatchesShortGraph) {
+  // The oracle for the masked short step: one runner's short replay of the
+  // full graph equals a replay of the graph built without the long-range
+  // chain, in every ExecStats field, on Anton 2, Anton 1 (bulk-synchronous),
+  // multicast off and randomized routing, at three machine shapes.
+  const System small = small_system();
+  const System dhfr = build_benchmark_system(dhfr_spec());
+  struct Shape {
+    int nx, ny, nz;
+    const System* sys;
+  };
+  const Shape shapes[] = {{2, 2, 2, &small}, {8, 8, 8, &dhfr}, {1, 1, 7, &small}};
+  for (const Shape& sh : shapes) {
+    std::vector<std::pair<std::string, arch::MachineConfig>> cfgs;
+    cfgs.emplace_back("anton2", arch::MachineConfig::anton2(sh.nx, sh.ny, sh.nz));
+    cfgs.emplace_back("anton1", arch::MachineConfig::anton1(sh.nx, sh.ny, sh.nz));
+    cfgs.emplace_back("unicast", arch::MachineConfig::anton2(sh.nx, sh.ny, sh.nz));
+    cfgs.back().second.use_multicast = false;
+    cfgs.emplace_back("randomized",
+                      arch::MachineConfig::anton2(sh.nx, sh.ny, sh.nz));
+    cfgs.back().second.noc.routing = noc::RoutingPolicy::kRandomizedOrder;
+    for (const auto& [name, cfg] : cfgs) {
+      const std::string what = name + " " + std::to_string(sh.nx) + "x" +
+                               std::to_string(sh.ny) + "x" +
+                               std::to_string(sh.nz);
+      const Workload w = Workload::build(*sh.sys, cfg);
+      TimestepRunner masked(w, cfg, {.include_long_range = false});
+      masked.run_timestep();
+
+      TaskGraph short_graph = build_step_graph(w, cfg, false);
+      sim::EventQueue q;
+      noc::Torus torus(cfg.noc, &q);
+      const ExecStats separate = execute(short_graph, cfg, torus, q);
+      expect_same_stats(masked.exec(), separate, what);
+      EXPECT_EQ(masked.graph().replayed_tasks(false), short_graph.num_tasks())
+          << what;
+    }
+  }
 }
 
 TEST(Timestep, EventDrivenFasterThanBsp) {
@@ -181,7 +260,8 @@ TEST(Machine, DegenerateConfigRejected) {
   struct Case {
     const char* field;
     void (*mutate)(Config&);
-    double dt_fs = 2.5;  // the one estimate() argument under test
+    double dt_fs = 2.5;  // the estimate() arguments under test
+    int respa_k = 2;
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -212,18 +292,71 @@ TEST(Machine, DegenerateConfigRejected) {
       {"dt_fs", [](Config&) {}, -2.5},
       {"dt_fs", [](Config&) {}, kNaN},
       {"dt_fs", [](Config&) {}, kInf},
+      {"respa_k", [](Config&) {}, 2.5, 0},
+      {"respa_k", [](Config&) {}, 2.5, -1},
   };
   for (const Case& k : cases) {
     Config cfg = Config::anton2(2, 2, 2);
     k.mutate(cfg);
     try {
       const AntonMachine m(cfg);
-      const PerfReport r = m.estimate(sys, k.dt_fs);
+      const PerfReport r = m.estimate(sys, k.dt_fs, k.respa_k);
       ADD_FAILURE() << k.field << " accepted: " << r.us_per_day()
                     << " us/day";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
           << e.what();
+    }
+  }
+}
+
+TEST(Machine, EstimateOnEdgeGeometries) {
+  // Degenerate and lopsided tori: single node, one axis of 2, 7 or 13
+  // nodes, and an odd 3x5x7.  Every row times both steps finitely, replays
+  // bit for bit, and runs the short step on exactly the full step's tasks
+  // minus the long-range ones.  The short step is not asserted to be the
+  // faster one: with the mesh tasks gone from the HTIS queue, greedy
+  // dispatch can order the remaining work worse (DESIGN.md, "Discrete-event
+  // core").
+  BuilderOptions o;
+  o.total_atoms = 2048;
+  o.temperature_k = -1;
+  const System sys = build_solvated_system(o);
+  const int shapes[][3] = {{1, 1, 1}, {2, 1, 1}, {1, 1, 7},
+                           {7, 1, 1}, {1, 1, 13}, {3, 5, 7}};
+  for (const char* preset : {"anton2", "anton1"}) {
+    for (const auto& sh : shapes) {
+      const arch::MachineConfig cfg =
+          std::string(preset) == "anton2"
+              ? arch::MachineConfig::anton2(sh[0], sh[1], sh[2])
+              : arch::MachineConfig::anton1(sh[0], sh[1], sh[2]);
+      const std::string what = std::string(preset) + " " +
+                               std::to_string(sh[0]) + "x" +
+                               std::to_string(sh[1]) + "x" +
+                               std::to_string(sh[2]);
+      const AntonMachine m(cfg);
+      const PerfReport a = m.estimate(sys);
+      const PerfReport b = m.estimate(sys);
+      for (const double ns : {a.full_step.step_ns, a.short_step.step_ns}) {
+        EXPECT_TRUE(std::isfinite(ns) && ns > 0) << what << ": " << ns;
+      }
+      EXPECT_EQ(bits(a.full_step.step_ns), bits(b.full_step.step_ns)) << what;
+      EXPECT_EQ(bits(a.short_step.step_ns), bits(b.short_step.step_ns))
+          << what;
+      EXPECT_EQ(bits(a.us_per_day()), bits(b.us_per_day())) << what;
+
+      const TaskGraph g = build_step_graph(Workload::build(sys, cfg), cfg, true);
+      uint64_t long_range = 0;
+      for (int t = 0; t < g.num_tasks(); ++t) {
+        long_range += g.task(t).long_range ? 1 : 0;
+      }
+      EXPECT_GT(long_range, 0u) << what;
+      EXPECT_EQ(a.full_step.exec.tasks_executed,
+                static_cast<uint64_t>(g.num_tasks()))
+          << what;
+      EXPECT_EQ(a.short_step.exec.tasks_executed,
+                a.full_step.exec.tasks_executed - long_range)
+          << what;
     }
   }
 }

@@ -318,6 +318,56 @@ TEST(DesTelemetry, StepTraceHasSpansForEveryTask) {
   std::remove(path.c_str());
 }
 
+// Count of the stat `name` in a metrics JSON snapshot; -1 when absent.
+long long stat_count(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":{\"type\":\"stat\",\"count\":";
+  const size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + key.size()));
+}
+
+TEST(MachineTelemetry, HostTimeStatsPerLayer) {
+  // A telemetered estimate() or run() records the host seconds of each
+  // machine-model layer — workload, graph, full and short replay — as
+  // machine.phase.<layer>.seconds stats and spans on the host track.  The
+  // counts are exact; no timing ratio is asserted.
+  const std::string metrics = "test_obs_machine_metrics.json";
+  const std::string trace = "test_obs_machine_trace.json";
+  auto cfg = arch::MachineConfig::anton2(2, 2, 2);
+  cfg.metrics_path = metrics;
+  cfg.trace_path = trace;
+  core::AntonMachine(cfg).estimate(small_system());
+  std::string j = slurp(metrics);
+  for (const char* layer :
+       {"workload", "graph", "replay_full", "replay_short"}) {
+    EXPECT_EQ(stat_count(j, std::string("machine.phase.") + layer + ".seconds"),
+              1)
+        << layer;
+  }
+  const std::string t = slurp(trace);
+  EXPECT_TRUE(braces_balanced(t));
+  EXPECT_EQ(count_occurrences(t, "\"name\":\"replay_short\""), 1u);
+  EXPECT_NE(t.find("machine model (host wall clock)"), std::string::npos);
+
+  // run(): 6 steps, RESPA k = 2, a workload refresh every 4 steps.
+  cfg.trace_path.clear();
+  System water = build_water_box(216, 88);
+  MdParams p;
+  p.cutoff = 6.5;
+  p.skin = 0.7;
+  p.dt_fs = 1.0;
+  p.respa_k = 2;
+  p.long_range = LongRangeMethod::kMesh;
+  core::AntonMachine(cfg).run(water, p, 6, 4);
+  j = slurp(metrics);
+  EXPECT_EQ(stat_count(j, "machine.phase.workload.seconds"), 2);
+  EXPECT_EQ(stat_count(j, "machine.phase.graph.seconds"), 2);
+  EXPECT_EQ(stat_count(j, "machine.phase.replay_full.seconds"), 3);
+  EXPECT_EQ(stat_count(j, "machine.phase.replay_short.seconds"), 3);
+  std::remove(metrics.c_str());
+  std::remove(trace.c_str());
+}
+
 // --- integration: functional MD engine ---------------------------------------
 
 TEST(MdTelemetry, PhaseBreakdownCoversStepTime) {

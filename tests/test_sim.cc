@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -191,6 +193,74 @@ TEST(EventQueue, NestedSchedulingReusesFreedSlot) {
   q.run();
   EXPECT_EQ(fired, 101);
   EXPECT_EQ(q.arena_slots(), 1u);
+  q.check_arena();
+}
+
+TEST(EventQueue, StreamsPopLikeOneHeap) {
+  // The same schedule played twice: once with every event on the heap, once
+  // with each stream's events (nondecreasing in time per stream, with ties)
+  // on streams.  Every event keeps its sequence number, so both queues fire
+  // the events in the same order — including across equal timestamps.
+  auto play = [](bool use_streams) {
+    EventQueue q;
+    const int first = q.add_streams(3);
+    std::vector<int> fired;
+    double stream_time[3] = {0, 0, 0};
+    int id = 0;
+    uint32_t h = 12345;
+    auto next = [&h] {
+      h = h * 1664525u + 1013904223u;
+      return h >> 8;
+    };
+    // Events fired at t schedule a few more at t + small offsets.
+    std::function<void(int)> spawn = [&](int depth) {
+      for (int k = 0; k < 3; ++k) {
+        const int me = id++;
+        const uint32_t r = next();
+        const int s = static_cast<int>(r % 4) - 1;  // -1: plain event
+        auto fn = [&fired, &spawn, me, depth] {
+          fired.push_back(me);
+          if (depth < 5) spawn(depth + 1);
+        };
+        if (s < 0) {
+          q.schedule_at(q.now() + static_cast<double>(r % 3), fn);
+        } else {
+          // Streams advance in steps of 0 or 1: plenty of equal times.
+          double& st = stream_time[s];
+          st = std::max(st, q.now()) + static_cast<double>((r >> 4) % 2);
+          if (use_streams) {
+            q.schedule_on(first + s, st, fn);
+          } else {
+            q.schedule_at(st, fn);
+          }
+        }
+      }
+    };
+    q.schedule_at(0.0, [&spawn] { spawn(0); });
+    q.run();
+    q.check_arena();
+    EXPECT_EQ(q.pending(), 0u);
+    return fired;
+  };
+  const std::vector<int> heap_only = play(false);
+  const std::vector<int> streamed = play(true);
+  EXPECT_GT(heap_only.size(), 300u);
+  EXPECT_EQ(heap_only, streamed);
+}
+
+TEST(EventQueue, StreamCountsPendingAndRejectsDisorder) {
+  EventQueue q;
+  const int s = q.add_streams(1);
+  int fired = 0;
+  q.schedule_on(s, 2.0, [&fired] { ++fired; });
+  q.schedule_on(s, 3.0, [&fired] { ++fired; });
+  q.schedule_on(s, 3.0, [&fired] { ++fired; });
+  EXPECT_EQ(q.pending(), 3u);  // one in the heap, two waiting
+  q.check_arena();
+  EXPECT_THROW(q.schedule_on(s, 2.5, [] {}), Error);
+  q.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(q.pending(), 0u);
   q.check_arena();
 }
 

@@ -199,6 +199,109 @@ TEST(TaskGraph, LocalDepAcrossNodesRejected) {
   EXPECT_NO_THROW(g.add_barrier_dep(a, b));
 }
 
+TEST(TaskGraph, EdgesGroupBySourceInInsertionOrder) {
+  // finalize() groups the staged edges by source; each task keeps its
+  // dependents in the order they were added, and every message edge carries
+  // its destination's node.
+  TaskGraph g;
+  const int a = g.add_task(0, Unit::kGc, 1, "a");
+  const int b = g.add_task(0, Unit::kGc, 1, "b");
+  const int c = g.add_task(0, Unit::kGc, 1, "c");
+  const int d = g.add_task(3, Unit::kGc, 1, "d");
+  const int e = g.add_task(5, Unit::kGc, 1, "e");
+  g.add_local_dep(a, c);
+  g.add_local_dep(b, c);
+  g.add_local_dep(a, b);
+  g.add_message(b, d, 8.0);
+  g.add_message(a, e, 16.0);
+  g.add_message(a, d, 32.0);
+  g.add_multicast(b, std::vector<int>{e, d}, 64.0);
+  g.finalize();
+  const TaskGraph::TaskView ta = g.task(a);
+  EXPECT_EQ(std::vector<int>(ta.local_dependents.begin(),
+                             ta.local_dependents.end()),
+            (std::vector<int>{c, b}));
+  ASSERT_EQ(ta.sends.size(), 2u);
+  EXPECT_EQ(ta.sends[0].dst_task, e);
+  EXPECT_EQ(ta.sends[0].dst_node, 5);
+  EXPECT_EQ(ta.sends[0].bytes, 16.0);
+  EXPECT_EQ(ta.sends[1].dst_task, d);
+  EXPECT_EQ(ta.sends[1].dst_node, 3);
+  const TaskGraph::TaskView tb = g.task(b);
+  EXPECT_EQ(std::vector<int>(tb.mcast_dependents.begin(),
+                             tb.mcast_dependents.end()),
+            (std::vector<int>{e, d}));
+  EXPECT_EQ(std::vector<int>(tb.mcast_nodes.begin(), tb.mcast_nodes.end()),
+            (std::vector<int>{5, 3}));
+  EXPECT_EQ(tb.mcast_bytes, 64.0);
+  EXPECT_EQ(g.task(c).deps, 2);
+  EXPECT_EQ(g.task(d).deps, 3);
+  EXPECT_TRUE(g.task(c).sends.empty());
+  // A finalized graph takes no more tasks or edges.
+  EXPECT_THROW(g.add_local_dep(a, c), Error);
+  EXPECT_THROW(g.add_task(0, Unit::kGc, 1, "late"), Error);
+}
+
+TEST(TaskGraph, ShortStepMasksLongRangeTasks) {
+  // a -> mesh (long-range) -> b, and a -> b directly.  The full step runs
+  // the chain; the short step drops the mesh task, its edges and its phase.
+  const auto c = bare_machine();
+  TaskGraph g;
+  const int a = g.add_task(0, Unit::kGc, 100, "a");
+  const int m = g.add_task(0, Unit::kGc, 50, "mesh", /*long_range=*/true);
+  const int far = g.add_task(1, Unit::kGc, 10, "mesh", /*long_range=*/true);
+  const int b = g.add_task(0, Unit::kGc, 25, "b");
+  g.add_local_dep(a, m);
+  g.add_message(m, far, 100.0);
+  g.add_local_dep(m, b);
+  g.add_local_dep(a, b);
+  sim::EventQueue q;
+  noc::Torus t(c.noc, &q);
+  Executor ex;
+  const ExecStats full = ex.run(g, c, t, q);
+  EXPECT_EQ(g.replayed_tasks(true), 4);
+  EXPECT_EQ(g.replayed_tasks(false), 2);
+  // a (100), mesh (50), one hop (10) + 100 B on the wire (100), far (10).
+  EXPECT_NEAR(full.makespan_ns, 270.0, 1e-9);
+  EXPECT_EQ(full.tasks_executed, 4u);
+  EXPECT_EQ(full.noc.messages, 1u);
+  EXPECT_EQ(full.phase_busy_ns.count("mesh"), 1u);
+
+  q.reset();
+  t.reset_time();
+  const ExecStats part = ex.run(g, c, t, q, nullptr, obs::kPidMachine,
+                                /*include_long_range=*/false);
+  EXPECT_NEAR(part.makespan_ns, 125.0, 1e-9);
+  EXPECT_EQ(part.tasks_executed, 2u);
+  EXPECT_EQ(part.noc.messages, 0u);
+  EXPECT_EQ(part.phase_busy_ns.count("mesh"), 0u);
+  EXPECT_EQ(part.phase_end_ns.count("mesh"), 0u);
+  EXPECT_EQ(part.critical_path_ns.count("mesh"), 0u);
+  EXPECT_EQ(part.phase_busy_ns.size(), 2u);
+  // Each mode keeps its own stats; the full step's survive the short one.
+  EXPECT_EQ(full.tasks_executed, 4u);
+  q.reset();
+  t.reset_time();
+  EXPECT_EQ(ex.run(g, c, t, q).makespan_ns, full.makespan_ns);
+}
+
+TEST(TaskGraph, MessageIntoLongRangeTaskRejected) {
+  // The short step drops long-range tasks; a message into one from a task
+  // that stays would still cross the torus, so finalize() refuses it.
+  TaskGraph g;
+  const int a = g.add_task(0, Unit::kGc, 1, "a");
+  const int m = g.add_task(1, Unit::kGc, 1, "mesh", /*long_range=*/true);
+  g.add_message(a, m, 8.0);
+  EXPECT_THROW(g.finalize(), Error);
+
+  TaskGraph h;  // a barrier edge into one is a no-op when masked: allowed
+  const int x = h.add_task(0, Unit::kSync, 1, "barrier");
+  const int y = h.add_task(1, Unit::kGc, 1, "mesh", /*long_range=*/true);
+  h.add_barrier_dep(x, y);
+  EXPECT_NO_THROW(h.finalize());
+  EXPECT_EQ(h.replayed_tasks(false), 1);
+}
+
 TEST(TaskGraph, TaskOnNodeOutsideTorusRejected) {
   // add_task only knows node >= 0; the executor owns the torus, so it must
   // reject node 8 of a 2x2x2 machine up front instead of indexing its
