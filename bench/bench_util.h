@@ -95,17 +95,11 @@ class BenchReport {
   obs::MetricsRegistry reg_;
 };
 
-// Shared worker pool for sweep parallelism.  ANTON_SWEEP_THREADS picks the
-// width (0/unset = hardware concurrency, 1 = serial); every bench maps its
-// estimate points through core::SweepRunner on this pool, so the printed
-// tables are bitwise identical at any setting.
+// Shared worker pool for sweep parallelism, one thread per hardware thread.
+// Every bench maps its estimate points through core::SweepRunner on this
+// pool, whose results are bitwise identical at any pool width.
 inline ThreadPool* sweep_pool() {
-  static const long requested = [] {
-    const char* env = std::getenv("ANTON_SWEEP_THREADS");
-    return env != nullptr && *env != '\0' ? std::strtol(env, nullptr, 10) : 0L;
-  }();
-  if (requested == 1) return nullptr;  // serial: skip pool construction
-  static ThreadPool pool(requested > 1 ? static_cast<unsigned>(requested) : 0);
+  static ThreadPool pool;
   return &pool;
 }
 

@@ -84,19 +84,14 @@ echo "force and trajectory digests byte-identical across SIMD backends:"
 grep -E 'force_digest|position_digest|velocity_digest' \
   "$SCRATCH/force_hash_native.txt"
 
+# The snapshot must say where host time went (MD phases, machine-model
+# layers) and where simulated time went (DES makespan, critical wait, phase
+# busy time), and carry no hardware-counter sample.
 step "telemetry smoke (trace + metrics round-trip)"
-TELEMETRY_TMP="$SCRATCH"
 ./build/examples/quickstart atoms=1500 nodes=8 steps=4 \
-  --trace "$TELEMETRY_TMP/trace.json" \
-  --metrics "$TELEMETRY_TMP/metrics.json" >/dev/null
-python3 tools/validate_trace.py "$TELEMETRY_TMP/trace.json"
-python3 -c "
-import json, sys
-doc = json.load(open('$TELEMETRY_TMP/metrics.json'))
-assert doc.get('schema') == 'anton.metrics.v1', doc.get('schema')
-assert doc.get('metrics'), 'metrics snapshot is empty'
-print(f\"metrics snapshot OK: {len(doc['metrics'])} metrics\")
-"
+  --trace "$SCRATCH/trace.json" --metrics "$SCRATCH/metrics.json" >/dev/null
+python3 tools/validate_trace.py "$SCRATCH/trace.json"
+python3 tools/check_metrics.py "$SCRATCH/metrics.json"
 
 step "flight-recorder smoke (exit dump must validate as a flight trace)"
 ANTON_FLIGHT_EXIT_DUMP=1 ANTON_FLIGHT_PATH="$SCRATCH/flight.json" \

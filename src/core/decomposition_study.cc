@@ -39,7 +39,8 @@ ImportStats analyze_decomposition(const System& system,
   const double rc = config.machine_cutoff;
 
   const auto pos = system.positions();
-  // Rejects an empty system and non-finite positions before anything bins.
+  // Rejects a cutoff beyond the minimum-image limit, an empty system and
+  // non-finite positions before anything bins.
   const PairPass pass(box, pos, rc);
   std::vector<int> owner(pos.size());
   for (size_t i = 0; i < pos.size(); ++i) owner[i] = dd.node_of(pos[i]);

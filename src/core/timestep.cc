@@ -391,10 +391,6 @@ TimestepRunner::TimestepRunner(const Workload& workload,
     qt.trace = trace;
     queue_.set_telemetry(qt);
     torus_.set_telemetry(reg, "des.noc", trace);
-    if (reg != nullptr && obs::PerfCounters::env_enabled()) {
-      perf_ = std::make_unique<obs::PerfCounters>();
-      reg->gauge("des.perf.available")->set(perf_->available() ? 1.0 : 0.0);
-    }
   }
 }
 
@@ -406,25 +402,9 @@ double TimestepRunner::run_timestep(bool include_long_range) {
   obs::TraceWriter* trace = options_.trace;
   if (trace != nullptr) trace->set_ts_offset_us(options_.trace_ts_offset_us);
 
-  const bool sample_perf = perf_ != nullptr && perf_->available() &&
-                           perf_->owned_by_this_thread();
-  obs::PerfSample perf0;
-  if (sample_perf) perf0 = perf_->read();
-
   const ExecStats& ex = executor_.run(graph_, config_, torus_, queue_, trace,
                                       obs::kPidMachine, include_long_range);
   step_ns_ = ex.makespan_ns;
-
-  if (sample_perf && perf0.valid) {
-    const obs::PerfSample d = perf_->read() - perf0;
-    if (d.valid && options_.metrics != nullptr) {
-      if (d.cycles > 0) options_.metrics->stat("des.host.ipc")->add(d.ipc());
-      if (d.llc_loads > 0) {
-        options_.metrics->stat("des.host.llc_miss_rate")
-            ->add(d.llc_miss_rate());
-      }
-    }
-  }
 
   if (trace != nullptr) trace->set_ts_offset_us(0.0);
   obs::MetricsRegistry* reg = options_.metrics;

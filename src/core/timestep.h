@@ -27,14 +27,13 @@
 // runner for one-shot callers.
 #pragma once
 
-#include <memory>
+#include <string>
 
 #include "arch/config.h"
 #include "core/taskgraph.h"
 #include "core/workload.h"
 #include "noc/torus.h"
 #include "obs/metrics.h"
-#include "obs/perfcounters.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
 
@@ -112,10 +111,6 @@ class TimestepRunner {
   noc::Torus torus_;
   Executor executor_;
   double step_ns_ = 0;
-  // Host-side hardware counters around each replay (ANTON_PERF=1 and a
-  // metrics registry): exports des.host.ipc / des.host.llc_miss_rate — how
-  // efficiently the *simulator itself* runs, next to the simulated timings.
-  std::unique_ptr<obs::PerfCounters> perf_;
 };
 
 // Simulates one timestep; deterministic.  One-shot wrapper over

@@ -274,10 +274,8 @@ Workload Workload::build(const System& system,
 
   const auto pos = system.positions();
   const double rc = config.machine_cutoff;
-  ANTON_CHECK_MSG(rc <= box.max_cutoff(),
-                  "machine cutoff " << rc << " exceeds minimum-image limit "
-                                    << box.max_cutoff());
-  // Rejects an empty system and non-finite positions before anything bins.
+  // Rejects a cutoff beyond the minimum-image limit, an empty system and
+  // non-finite positions before anything bins.
   const PairPass pass(box, pos, rc);
 
   // --- per-atom node assignment -------------------------------------------

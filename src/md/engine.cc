@@ -21,8 +21,33 @@ Simulation::Simulation(System system, MdParams params, ThreadPool* pool)
       f_long_(static_cast<size_t>(system_.num_atoms())),
       ref_pos_(static_cast<size_t>(system_.num_atoms())),
       dt_(units::fs_to_internal(params.dt_fs)) {
-  ANTON_CHECK_MSG(params_.respa_k >= 1, "respa_k must be >= 1");
-  ANTON_CHECK_MSG(params_.dt_fs > 0, "timestep must be positive");
+  ANTON_CHECK_MSG(params_.respa_k >= 1,
+                  "respa_k must be >= 1, got " << params_.respa_k);
+  ANTON_CHECK_MSG(std::isfinite(params_.dt_fs) && params_.dt_fs > 0,
+                  "dt_fs must be finite and positive, got " << params_.dt_fs);
+  const double gamma = params_.langevin_gamma_per_fs;
+  ANTON_CHECK_MSG(std::isfinite(gamma) && gamma >= 0,
+                  "langevin_gamma_per_fs must be finite and >= 0, got "
+                      << gamma);
+  ANTON_CHECK_MSG(gamma == 0 || params_.thermostat != ThermostatKind::kNone,
+                  "langevin_gamma_per_fs is " << gamma
+                      << " but thermostat is kNone; select kLangevin");
+  if (params_.thermostat == ThermostatKind::kBerendsen ||
+      params_.thermostat == ThermostatKind::kVelocityRescale) {
+    ANTON_CHECK_MSG(std::isfinite(params_.thermostat_tau_fs) &&
+                        params_.thermostat_tau_fs > 0,
+                    "thermostat_tau_fs must be finite and positive, got "
+                        << params_.thermostat_tau_fs);
+  }
+  if (params_.barostat != BarostatKind::kNone) {
+    ANTON_CHECK_MSG(params_.barostat_interval >= 1,
+                    "barostat_interval must be >= 1, got "
+                        << params_.barostat_interval);
+    ANTON_CHECK_MSG(std::isfinite(params_.barostat_tau_fs) &&
+                        params_.barostat_tau_fs > 0,
+                    "barostat_tau_fs must be finite and positive, got "
+                        << params_.barostat_tau_fs);
+  }
   if (params_.telemetry || !params_.trace_path.empty() ||
       !params_.metrics_path.empty()) {
     own_trace_ = obs::TraceWriter::open(params_.trace_path);
@@ -33,10 +58,6 @@ Simulation::Simulation(System system, MdParams params, ThreadPool* pool)
     profiler_.enable(metrics_, "md", own_trace_.get(), obs::kPidMd);
     step_stat_ = metrics_->stat("md.step.seconds");
     force_->set_profiler(&profiler_);
-    if (params_.perf_counters || obs::PerfCounters::env_enabled()) {
-      perf_ = std::make_unique<obs::PerfCounters>();
-      profiler_.enable_perf(perf_.get());
-    }
   }
   // Build the neighbour list and size all workspace scratch now, so stepping
   // starts allocation-free from the first call.
@@ -64,11 +85,6 @@ void Simulation::use_telemetry(obs::MetricsRegistry* registry,
   profiler_.enable(metrics_, "md", trace, obs::kPidMd);
   step_stat_ = metrics_->stat("md.step.seconds");
   force_->set_profiler(&profiler_);
-  if (perf_ == nullptr &&
-      (params_.perf_counters || obs::PerfCounters::env_enabled())) {
-    perf_ = std::make_unique<obs::PerfCounters>();
-  }
-  if (perf_ != nullptr) profiler_.enable_perf(perf_.get());
 }
 
 void Simulation::write_metrics() const {
@@ -96,10 +112,7 @@ void Simulation::apply_langevin(double dt) {
 }
 
 void Simulation::apply_thermostat(double dt) {
-  ThermostatKind kind = params_.thermostat;
-  if (kind == ThermostatKind::kNone && params_.langevin_gamma_per_fs > 0) {
-    kind = ThermostatKind::kLangevin;  // legacy shorthand
-  }
+  const ThermostatKind kind = params_.thermostat;
   switch (kind) {
     case ThermostatKind::kNone:
       return;

@@ -18,7 +18,6 @@
 #include "md/forces.h"
 #include "md/params.h"
 #include "obs/metrics.h"
-#include "obs/perfcounters.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
@@ -95,9 +94,6 @@ class Simulation {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::PhaseProfiler profiler_;
   obs::Stat* step_stat_ = nullptr;
-  // Hardware counters for the profiler (MdParams::perf_counters or
-  // ANTON_PERF=1); bound to the constructing thread.
-  std::unique_ptr<obs::PerfCounters> perf_;
 };
 
 }  // namespace anton::md

@@ -54,7 +54,9 @@ struct MdParams {
   // one, as with the default double-precision buffers.  The FFT, the GSE
   // gather and the direct-Ewald sum are data-parallel pure functions and
   // bitwise stable without quantization.  Costs a quantization of ~2^-32
-  // per contribution and a few % throughput.
+  // per contribution and roughly doubles the step: a DHFR step on 4
+  // threads of a 4-vCPU x86 VM took 111-117 ms against 57.6-58.7 ms on the
+  // double path, its pair phase 3.2x slower.
   bool deterministic_forces = false;
 
   // Ewald splitting.
@@ -74,8 +76,8 @@ struct MdParams {
   double shake_tol = 1e-8;
   int shake_max_iter = 500;
 
-  // Temperature control.  For backward compatibility, a nonzero
-  // langevin_gamma_per_fs with thermostat == kNone behaves as kLangevin.
+  // Temperature control.  Simulation rejects a nonzero
+  // langevin_gamma_per_fs with thermostat == kNone.
   ThermostatKind thermostat = ThermostatKind::kNone;
   double temperature_k = 300.0;
   double langevin_gamma_per_fs = 0.0;
@@ -100,11 +102,6 @@ struct MdParams {
   bool telemetry = false;
   std::string trace_path;
   std::string metrics_path;
-  // Attach a hardware-counter group (perf_event_open) to the profiler:
-  // phases gain .ipc / .llc_miss_rate stats and the registry a
-  // "md.perf.available" gauge.  Requires telemetry; ANTON_PERF=1 in the
-  // environment turns it on too.  Degrades silently where perf is blocked.
-  bool perf_counters = false;
 };
 
 struct EnergyReport {

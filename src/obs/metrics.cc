@@ -109,21 +109,6 @@ void write_histo_fields(std::ostream& os, const Histogram& h) {
   os << ']';
 }
 
-// RFC-4180 field quoting: names containing a comma, quote, or newline would
-// otherwise shift every downstream column.
-std::string csv_field(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
 }  // namespace
 
 void MetricsRegistry::write_json(std::ostream& os) const {
@@ -152,34 +137,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << "}}";
 }
 
-void MetricsRegistry::write_csv(std::ostream& os) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  os << "name,field,value\n";
-  for (const auto& [raw_name, e] : entries_) {
-    const std::string name = csv_field(raw_name);
-    if (e.counter) {
-      os << name << ",value," << e.counter->value() << '\n';
-    } else if (e.gauge) {
-      os << name << ",value," << json_double(e.gauge->value()) << '\n';
-    } else if (e.stat) {
-      const RunningStat s = e.stat->snapshot();
-      os << name << ",count," << s.count() << '\n'
-         << name << ",mean," << json_double(s.mean()) << '\n'
-         << name << ",stddev," << json_double(s.stddev()) << '\n'
-         << name << ",min," << json_double(s.min()) << '\n'
-         << name << ",max," << json_double(s.max()) << '\n'
-         << name << ",sum," << json_double(s.sum()) << '\n';
-    } else if (e.histo) {
-      const Histogram h = e.histo->snapshot();
-      os << name << ",total," << h.total() << '\n'
-         << name << ",p50," << json_double(h.quantile(0.5)) << '\n'
-         << name << ",p90," << json_double(h.quantile(0.9)) << '\n'
-         << name << ",p95," << json_double(h.quantile(0.95)) << '\n'
-         << name << ",p99," << json_double(h.quantile(0.99)) << '\n';
-    }
-  }
-}
-
 std::string MetricsRegistry::json() const {
   std::ostringstream os;
   write_json(os);
@@ -191,12 +148,6 @@ void MetricsRegistry::save_json(const std::string& path) const {
   ANTON_CHECK_MSG(out.good(), "cannot open metrics output '" << path << "'");
   write_json(out);
   out << '\n';
-}
-
-void MetricsRegistry::save_csv(const std::string& path) const {
-  std::ofstream out(path);
-  ANTON_CHECK_MSG(out.good(), "cannot open metrics output '" << path << "'");
-  write_csv(out);
 }
 
 }  // namespace anton::obs

@@ -2,9 +2,9 @@
 // the NoC, and the functional MD engine.
 //
 // Metrics are named hierarchically with dot-separated components
-// ("noc.link.occupancy", "md.phase.pair.seconds"); the snapshot writers
-// export a flat, sorted name → record map so downstream tooling can address
-// any metric by its full name.  Four metric kinds:
+// ("noc.link.occupancy", "md.phase.pair.seconds"); the JSON snapshot is a
+// flat, sorted name → record map so downstream tooling can address any
+// metric by its full name.  Four metric kinds:
 //
 //   Counter   monotonically increasing integer (lock-free, relaxed atomics)
 //   Gauge     last-written double (lock-free)
@@ -118,12 +118,9 @@ class MetricsRegistry {
   //   {"schema": "anton.metrics.v1",
   //    "metrics": {"<name>": {"type": "counter"|"gauge"|"stat"|"histogram",
   //                           ...kind-specific fields...}, ...}}
-  // CSV: one "name,field,value" row per exported scalar.
   void write_json(std::ostream& os) const;
-  void write_csv(std::ostream& os) const;
   std::string json() const;
   void save_json(const std::string& path) const;
-  void save_csv(const std::string& path) const;
 
  private:
   struct Entry {

@@ -1,169 +1,43 @@
 #include "obs/perfcounters.h"
 
-#include <atomic>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__linux__)
 #include <linux/perf_event.h>
-#include <sys/ioctl.h>
 #include <sys/syscall.h>
 #include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #endif
 
 namespace anton::obs {
 
-namespace {
-std::atomic<bool> g_force_unavailable{false};
-}  // namespace
-
-bool PerfCounters::env_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("ANTON_PERF");
-    return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  }();
-  return on;
-}
-
-void PerfCounters::force_unavailable_for_testing(bool on) {
-  g_force_unavailable.store(on, std::memory_order_relaxed);
-}
-
 #if defined(__linux__)
 
-namespace {
-
-// PerfSample slot indices, mirrored by the read() unpacking below.
-enum Slot {
-  kCycles = 0,
-  kInstructions,
-  kLlcLoads,
-  kLlcMisses,
-  kBranchMisses,
-  kTaskClock,
-};
-
-struct EventSpec {
-  uint32_t type;
-  uint64_t config;
-  int slot;
-};
-
-// Leader first: the group schedules as one unit and read() returns every
-// member in creation order.
-constexpr EventSpec kEvents[] = {
-    {PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES, kCycles},
-    {PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS, kInstructions},
-    {PERF_TYPE_HW_CACHE,
-     PERF_COUNT_HW_CACHE_LL | (PERF_COUNT_HW_CACHE_OP_READ << 8) |
-         (PERF_COUNT_HW_CACHE_RESULT_ACCESS << 16),
-     kLlcLoads},
-    {PERF_TYPE_HW_CACHE,
-     PERF_COUNT_HW_CACHE_LL | (PERF_COUNT_HW_CACHE_OP_READ << 8) |
-         (PERF_COUNT_HW_CACHE_RESULT_MISS << 16),
-     kLlcMisses},
-    {PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES, kBranchMisses},
-    {PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK, kTaskClock},
-};
-
-int open_event(const EventSpec& spec, int group_fd) {
+PerfCounters::PerfCounters() {
   perf_event_attr attr;
   std::memset(&attr, 0, sizeof(attr));
   attr.size = sizeof(attr);
-  attr.type = spec.type;
-  attr.config = spec.config;
-  attr.disabled = group_fd == -1 ? 1 : 0;  // leader starts the whole group
-  attr.exclude_kernel = 1;                 // works at perf_event_paranoid<=2
+  attr.type = PERF_TYPE_HARDWARE;
+  attr.config = PERF_COUNT_HW_CPU_CYCLES;
+  attr.disabled = 1;
+  attr.exclude_kernel = 1;  // works at perf_event_paranoid <= 2
   attr.exclude_hv = 1;
-  attr.read_format = PERF_FORMAT_GROUP | PERF_FORMAT_TOTAL_TIME_ENABLED |
-                     PERF_FORMAT_TOTAL_TIME_RUNNING;
-  return static_cast<int>(syscall(SYS_perf_event_open, &attr, /*pid=*/0,
-                                  /*cpu=*/-1, group_fd, /*flags=*/0UL));
-}
-
-}  // namespace
-
-PerfCounters::PerfCounters() : owner_(std::this_thread::get_id()) {
-  for (int& fd : fds_) fd = -1;
-  if (g_force_unavailable.load(std::memory_order_relaxed)) {
-    reason_ = "forced unavailable (test hook)";
-    return;
-  }
-  const int leader = open_event(kEvents[0], -1);
-  if (leader < 0) {
+  const int fd = static_cast<int>(syscall(SYS_perf_event_open, &attr,
+                                          /*pid=*/0, /*cpu=*/-1,
+                                          /*group_fd=*/-1, /*flags=*/0UL));
+  if (fd < 0) {
     reason_ = std::string("perf_event_open(cycles) failed: ") +
               std::strerror(errno) +
               " (check kernel.perf_event_paranoid or container seccomp)";
     return;
   }
-  fds_[n_open_] = leader;
-  slot_of_[n_open_] = kEvents[0].slot;
-  ++n_open_;
-  // Members are best-effort: a VM without LLC events still yields IPC.
-  for (size_t i = 1; i < sizeof(kEvents) / sizeof(kEvents[0]); ++i) {
-    const int fd = open_event(kEvents[i], leader);
-    if (fd < 0) continue;
-    fds_[n_open_] = fd;
-    slot_of_[n_open_] = kEvents[i].slot;
-    ++n_open_;
-  }
-  if (ioctl(leader, PERF_EVENT_IOC_ENABLE, PERF_IOC_FLAG_GROUP) != 0) {
-    reason_ = std::string("PERF_EVENT_IOC_ENABLE failed: ") +
-              std::strerror(errno);
-    for (int i = 0; i < n_open_; ++i) close(fds_[i]);
-    n_open_ = 0;
-    return;
-  }
+  close(fd);
   available_ = true;
-}
-
-PerfCounters::~PerfCounters() {
-  for (int i = 0; i < n_open_; ++i) {
-    if (fds_[i] >= 0) close(fds_[i]);
-  }
-}
-
-PerfSample PerfCounters::read() const {
-  PerfSample s;
-  if (!available_) return s;
-  // PERF_FORMAT_GROUP layout: nr, time_enabled, time_running, value[nr].
-  uint64_t buf[3 + kMaxEvents];
-  const ssize_t want =
-      static_cast<ssize_t>((3 + static_cast<size_t>(n_open_)) * sizeof(uint64_t));
-  if (::read(fds_[0], buf, static_cast<size_t>(want)) != want) return s;
-  if (buf[0] != static_cast<uint64_t>(n_open_)) return s;
-  const double enabled = static_cast<double>(buf[1]);
-  const double running = static_cast<double>(buf[2]);
-  // Multiplex scaling; running == 0 means the group never got PMU time.
-  const double scale = running > 0 ? enabled / running : 0.0;
-  double slots[kMaxEvents] = {0, 0, 0, 0, 0, 0};
-  for (int i = 0; i < n_open_; ++i) {
-    slots[slot_of_[i]] = static_cast<double>(buf[3 + i]) * scale;
-  }
-  s.cycles = slots[kCycles];
-  s.instructions = slots[kInstructions];
-  s.llc_loads = slots[kLlcLoads];
-  s.llc_misses = slots[kLlcMisses];
-  s.branch_misses = slots[kBranchMisses];
-  s.task_clock_ns = slots[kTaskClock];
-  s.valid = true;
-  return s;
 }
 
 #else  // !__linux__
 
-PerfCounters::PerfCounters() : owner_(std::this_thread::get_id()) {
-  for (int& fd : fds_) fd = -1;
-  reason_ = "perf_event_open is Linux-only";
-  if (g_force_unavailable.load(std::memory_order_relaxed)) {
-    reason_ = "forced unavailable (test hook)";
-  }
-}
-
-PerfCounters::~PerfCounters() = default;
-
-PerfSample PerfCounters::read() const { return PerfSample{}; }
+PerfCounters::PerfCounters() : reason_("perf_event_open is Linux-only") {}
 
 #endif  // __linux__
 

@@ -1,113 +1,30 @@
-// PerfCounters: a perf_event_open group-read wrapper for hardware
-// utilization counters.
+// PerfCounters: a probe for whether this host lets a process open hardware
+// counters.
 //
-// One PerfCounters object opens a single counter *group* — cycles (leader),
-// instructions, LLC loads, LLC misses, branch misses, task clock — bound to
-// the thread that constructed it, so one read() syscall returns a
-// consistent simultaneous snapshot of all six.  Derived metrics (IPC, LLC
-// miss rate) are what actually explain kernel behaviour on commodity CPUs:
-// wall clock alone cannot distinguish "fewer instructions" from "fewer
-// stalls", which is the distinction the vectorization and cache-blocking
-// work lives or dies by.
-//
-// Graceful degradation is a hard requirement: perf_event_open is routinely
-// blocked (kernel.perf_event_paranoid > 2, seccomp in containers, non-Linux
-// hosts) and individual events are often missing (LLC events inside VMs).
-// Every failure mode degrades to available() == false or to a sample with
-// the affected fields zero; nothing else in the telemetry layer changes
-// behaviour.  unavailable_reason() says why, and the registry export writes
-// "<prefix>.perf.available" so snapshots are self-describing.
-//
-// Counters are scaled for multiplexing using the group's
-// TIME_ENABLED/TIME_RUNNING ratio, so samples stay meaningful when the
-// kernel rotates more groups than the PMU has slots.
-//
-// Thread binding: the group counts the *constructing* thread only
-// (inherit=0 — group reads and inheritance do not compose).  PhaseProfiler
-// checks owned_by_this_thread() before sampling a scope, so worker-thread
-// scopes never charge main-thread counts to their phase.
+// Construction opens one user-space cycles counter on the calling thread
+// with perf_event_open and closes it again.  Benchmark fingerprints record
+// the answer, so a result measured where counters were blocked says so.
+// perf_event_open is routinely refused (kernel.perf_event_paranoid > 2,
+// seccomp in containers, non-Linux hosts); unavailable_reason() then says
+// why.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <thread>
 
 namespace anton::obs {
 
-// One multiplex-scaled counter snapshot.  Raw totals accumulate from
-// construction; subtract two snapshots for a per-scope delta.
-struct PerfSample {
-  double cycles = 0;
-  double instructions = 0;
-  double llc_loads = 0;
-  double llc_misses = 0;
-  double branch_misses = 0;
-  double task_clock_ns = 0;
-  bool valid = false;  // false: counters unavailable, all fields zero
-
-  double ipc() const { return cycles > 0 ? instructions / cycles : 0.0; }
-  double llc_miss_rate() const {
-    return llc_loads > 0 ? llc_misses / llc_loads : 0.0;
-  }
-  double branch_miss_per_kinst() const {
-    return instructions > 0 ? 1e3 * branch_misses / instructions : 0.0;
-  }
-
-  PerfSample operator-(const PerfSample& o) const {
-    PerfSample d;
-    d.valid = valid && o.valid;
-    if (!d.valid) return d;
-    d.cycles = cycles - o.cycles;
-    d.instructions = instructions - o.instructions;
-    d.llc_loads = llc_loads - o.llc_loads;
-    d.llc_misses = llc_misses - o.llc_misses;
-    d.branch_misses = branch_misses - o.branch_misses;
-    d.task_clock_ns = task_clock_ns - o.task_clock_ns;
-    return d;
-  }
-};
-
 class PerfCounters {
  public:
-  // Opens the counter group on the calling thread.  Never throws: failure
-  // leaves the object constructed with available() == false.
+  // Never throws: a refused syscall leaves available() == false.
   PerfCounters();
-  ~PerfCounters();
-  PerfCounters(const PerfCounters&) = delete;
-  PerfCounters& operator=(const PerfCounters&) = delete;
 
   bool available() const { return available_; }
   // Human-readable reason when !available(); empty otherwise.
   const std::string& unavailable_reason() const { return reason_; }
 
-  // Totals since construction.  valid == false when unavailable or the
-  // group read failed; individual events that failed to open read as zero.
-  PerfSample read() const;
-
-  bool owned_by_this_thread() const {
-    return owner_ == std::this_thread::get_id();
-  }
-
-  // Number of events that actually opened (of the six requested).
-  int events_open() const { return n_open_; }
-
-  // ANTON_PERF=1 opts run-level instrumentation (MD engine, DES host
-  // sampling) in; off by default because each scope costs two read()
-  // syscalls.
-  static bool env_enabled();
-
-  // Test hook: when set, subsequently constructed objects behave exactly as
-  // if perf_event_open had been refused — the fallback path under test.
-  static void force_unavailable_for_testing(bool on);
-
  private:
-  static constexpr int kMaxEvents = 6;
-  int fds_[kMaxEvents];       // open fds, creation order; leader first
-  int slot_of_[kMaxEvents];   // fds_[i] fills PerfSample slot slot_of_[i]
-  int n_open_ = 0;
   bool available_ = false;
   std::string reason_;
-  std::thread::id owner_;
 };
 
 }  // namespace anton::obs

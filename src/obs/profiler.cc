@@ -22,32 +22,17 @@ void PhaseProfiler::disable() {
   std::lock_guard<std::mutex> lk(mu_);
   registry_ = nullptr;
   trace_ = nullptr;
-  perf_ = nullptr;
   cache_.clear();
 }
 
-void PhaseProfiler::enable_perf(PerfCounters* perf) {
-  std::lock_guard<std::mutex> lk(mu_);
-  perf_ = perf;
-  if (registry_ != nullptr && perf != nullptr) {
-    registry_->gauge(prefix_ + ".perf.available")
-        ->set(perf->available() ? 1.0 : 0.0);
-  }
-}
-
-PhaseProfiler::PhaseSinks* PhaseProfiler::phase_sinks(const char* phase) {
+Stat* PhaseProfiler::phase_stat(const char* phase) {
   if (registry_ == nullptr) return nullptr;
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = cache_.find(phase);
-  if (it != cache_.end()) return &it->second;
-  PhaseSinks sinks;
-  sinks.seconds = registry_->stat(prefix_ + ".phase." + phase + ".seconds");
-  return &cache_.emplace(phase, sinks).first->second;
-}
-
-Stat* PhaseProfiler::phase_stat(const char* phase) {
-  PhaseSinks* sinks = phase_sinks(phase);
-  return sinks != nullptr ? sinks->seconds : nullptr;
+  Stat*& stat = cache_[phase];
+  if (stat == nullptr) {
+    stat = registry_->stat(prefix_ + ".phase." + phase + ".seconds");
+  }
+  return stat;
 }
 
 void PhaseProfiler::record_seconds(const char* phase, double seconds) {
@@ -64,31 +49,6 @@ void PhaseProfiler::finish(const char* phase, double t0, double t1) {
     trace_->complete(phase, prefix_.c_str(), (t0 - epoch_) * 1e6,
                      (t1 - t0) * 1e6, pid_, tid_);
   }
-}
-
-void PhaseProfiler::finish_perf(const char* phase, const PerfSample& delta) {
-  if (!delta.valid || registry_ == nullptr) return;
-  Stat* ipc = nullptr;
-  Stat* llc = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (registry_ == nullptr) return;
-    PhaseSinks& sinks = cache_[phase];
-    if (sinks.seconds == nullptr) {
-      sinks.seconds = registry_->stat(prefix_ + ".phase." + phase + ".seconds");
-    }
-    if (delta.cycles > 0 && sinks.ipc == nullptr) {
-      sinks.ipc = registry_->stat(prefix_ + ".phase." + phase + ".ipc");
-    }
-    if (delta.llc_loads > 0 && sinks.llc_miss_rate == nullptr) {
-      sinks.llc_miss_rate =
-          registry_->stat(prefix_ + ".phase." + phase + ".llc_miss_rate");
-    }
-    ipc = sinks.ipc;
-    llc = sinks.llc_miss_rate;
-  }
-  if (delta.cycles > 0 && ipc != nullptr) ipc->add(delta.ipc());
-  if (delta.llc_loads > 0 && llc != nullptr) llc->add(delta.llc_miss_rate());
 }
 
 }  // namespace anton::obs

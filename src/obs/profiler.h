@@ -30,7 +30,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/perfcounters.h"
 #include "obs/trace.h"
 
 namespace anton::obs {
@@ -57,20 +56,6 @@ class PhaseProfiler {
   void disable();
   bool enabled() const { return registry_ != nullptr; }
 
-  // Attaches a hardware-counter group: every subsequent scope that runs on
-  // the counters' owner thread also exports "<prefix>.phase.<label>.ipc"
-  // and ".llc_miss_rate" stats next to the ".seconds" stat, and the
-  // registry gains a "<prefix>.perf.available" gauge (0/1).  An unavailable
-  // PerfCounters (blocked syscall, non-Linux) degrades to seconds-only
-  // profiling — scopes never pay the two read() syscalls.  Call after
-  // enable(); nullptr detaches.
-  void enable_perf(PerfCounters* perf);
-  PerfCounters* perf() const { return perf_; }
-  bool perf_sampling() const {
-    return perf_ != nullptr && perf_->available() &&
-           perf_->owned_by_this_thread();
-  }
-
   MetricsRegistry* registry() const { return registry_; }
   TraceWriter* trace() const { return trace_; }
   double epoch() const { return epoch_; }
@@ -79,21 +64,10 @@ class PhaseProfiler {
    public:
     Scope(PhaseProfiler* p, const char* phase)
         : p_(p != nullptr && p->enabled() ? p : nullptr), phase_(phase) {
-      if (p_ != nullptr) {
-        if (p_->perf_sampling()) {
-          perf0_ = p_->perf_->read();
-          perf_armed_ = perf0_.valid;
-        }
-        t0_ = wall_seconds();
-      }
+      if (p_ != nullptr) t0_ = wall_seconds();
     }
     ~Scope() {
-      if (p_ != nullptr) {
-        p_->finish(phase_, t0_, wall_seconds());
-        if (perf_armed_) {
-          p_->finish_perf(phase_, p_->perf_->read() - perf0_);
-        }
-      }
+      if (p_ != nullptr) p_->finish(phase_, t0_, wall_seconds());
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
@@ -102,8 +76,6 @@ class PhaseProfiler {
     PhaseProfiler* p_;
     const char* phase_;
     double t0_ = 0;
-    PerfSample perf0_;
-    bool perf_armed_ = false;
   };
 
   Scope scope(const char* phase) { return Scope(this, phase); }
@@ -119,20 +91,9 @@ class PhaseProfiler {
  private:
   friend class Scope;
   void finish(const char* phase, double t0, double t1);
-  void finish_perf(const char* phase, const PerfSample& delta);
-
-  // Per-phase sinks, registered lazily; ipc/llc_miss_rate only materialize
-  // once a perf-armed scope actually closes on that phase.
-  struct PhaseSinks {
-    Stat* seconds = nullptr;
-    Stat* ipc = nullptr;
-    Stat* llc_miss_rate = nullptr;
-  };
-  PhaseSinks* phase_sinks(const char* phase);
 
   MetricsRegistry* registry_ = nullptr;
   TraceWriter* trace_ = nullptr;
-  PerfCounters* perf_ = nullptr;
   std::string prefix_;
   int pid_ = kPidMd;
   int tid_ = 0;
@@ -140,7 +101,7 @@ class PhaseProfiler {
   std::mutex mu_;  // guards cache_
   // Keyed by the phase literal's address: phase labels are string literals
   // in practice, so the common case is one map probe per scope.
-  std::map<const char*, PhaseSinks> cache_;
+  std::map<const char*, Stat*> cache_;
 };
 
 }  // namespace anton::obs

@@ -9,7 +9,6 @@
 #include "common/config.h"
 #include "common/error.h"
 #include "common/fixed_point.h"
-#include "common/morton.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -196,28 +195,6 @@ TEST(Rng, UniformU64Bounds) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 10u);  // all values hit
-}
-
-TEST(Morton, RoundTrip) {
-  Rng rng(3, 0);
-  for (int i = 0; i < 1000; ++i) {
-    const uint32_t x = static_cast<uint32_t>(rng.uniform_u64(1u << 21));
-    const uint32_t y = static_cast<uint32_t>(rng.uniform_u64(1u << 21));
-    const uint32_t z = static_cast<uint32_t>(rng.uniform_u64(1u << 21));
-    const auto d = morton_decode(morton_encode(x, y, z));
-    EXPECT_EQ(d.x, x);
-    EXPECT_EQ(d.y, y);
-    EXPECT_EQ(d.z, z);
-  }
-}
-
-TEST(Morton, LocalityOrdering) {
-  // Adjacent codes should be spatially close most of the time: check the
-  // canonical property that (0,0,0) and (1,0,0) differ by 1.
-  EXPECT_EQ(morton_encode(0, 0, 0), 0u);
-  EXPECT_EQ(morton_encode(1, 0, 0), 1u);
-  EXPECT_EQ(morton_encode(0, 1, 0), 2u);
-  EXPECT_EQ(morton_encode(0, 0, 1), 4u);
 }
 
 TEST(RunningStat, Basics) {

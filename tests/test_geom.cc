@@ -7,7 +7,6 @@
 #include "geom/box.h"
 #include "geom/cells.h"
 #include "geom/decomp.h"
-#include "geom/sort.h"
 
 namespace anton {
 namespace {
@@ -206,33 +205,6 @@ TEST(DomainDecomp, NeighborRankWraps) {
   const int r = dd.rank(3, 0, 0);
   EXPECT_EQ(dd.neighbor_rank(r, {1, 0, 0}), dd.rank(0, 0, 0));
   EXPECT_EQ(dd.neighbor_rank(r, {0, -1, 0}), dd.rank(3, 3, 0));
-}
-
-TEST(MortonSort, ProducesValidPermutation) {
-  const Box box({32, 32, 32});
-  Rng rng(6, 0);
-  std::vector<Vec3> pos;
-  for (int i = 0; i < 1000; ++i) pos.push_back(rng.uniform_in_box(box.lengths()));
-  const auto perm = morton_order(box, pos);
-  std::set<int> unique(perm.begin(), perm.end());
-  EXPECT_EQ(unique.size(), pos.size());
-}
-
-TEST(MortonSort, ImprovesLocality) {
-  // Mean distance between consecutive atoms should shrink after sorting.
-  const Box box({32, 32, 32});
-  Rng rng(7, 0);
-  std::vector<Vec3> pos;
-  for (int i = 0; i < 2000; ++i) pos.push_back(rng.uniform_in_box(box.lengths()));
-  const auto perm = morton_order(box, pos);
-  const auto sorted =
-      apply_permutation(std::span<const Vec3>(pos), std::span<const int>(perm));
-  auto mean_step = [&](const std::vector<Vec3>& v) {
-    double acc = 0;
-    for (size_t i = 1; i < v.size(); ++i) acc += box.distance(v[i - 1], v[i]);
-    return acc / static_cast<double>(v.size() - 1);
-  };
-  EXPECT_LT(mean_step(sorted), 0.5 * mean_step(pos));
 }
 
 }  // namespace

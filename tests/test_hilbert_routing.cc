@@ -1,83 +1,13 @@
-// Tests for the Hilbert curve and the randomised-order routing policy.
+// Tests for the randomised-order routing policy.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "common/hilbert.h"
 #include "common/rng.h"
-#include "geom/sort.h"
 #include "noc/torus.h"
 
 namespace anton {
 namespace {
-
-class HilbertBits : public ::testing::TestWithParam<int> {};
-
-TEST_P(HilbertBits, EncodeDecodeRoundTrip) {
-  const int bits = GetParam();
-  Rng rng(601, static_cast<uint64_t>(bits));
-  const uint32_t max = 1u << bits;
-  for (int t = 0; t < 500; ++t) {
-    const uint32_t x = static_cast<uint32_t>(rng.uniform_u64(max));
-    const uint32_t y = static_cast<uint32_t>(rng.uniform_u64(max));
-    const uint32_t z = static_cast<uint32_t>(rng.uniform_u64(max));
-    const auto d = hilbert_decode(hilbert_encode(x, y, z, bits), bits);
-    EXPECT_EQ(d.x, x);
-    EXPECT_EQ(d.y, y);
-    EXPECT_EQ(d.z, z);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Bits, HilbertBits, ::testing::Values(1, 2, 4, 8));
-
-TEST(Hilbert, CurveIsBijective) {
-  const int bits = 2;  // 64 cells
-  std::set<uint64_t> seen;
-  for (uint32_t x = 0; x < 4; ++x) {
-    for (uint32_t y = 0; y < 4; ++y) {
-      for (uint32_t z = 0; z < 4; ++z) {
-        EXPECT_TRUE(seen.insert(hilbert_encode(x, y, z, bits)).second);
-      }
-    }
-  }
-  EXPECT_EQ(seen.size(), 64u);
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), 63u);
-}
-
-TEST(Hilbert, ConsecutiveIndicesAreFaceAdjacent) {
-  // The defining property of the Hilbert curve (Morton does NOT have it).
-  const int bits = 3;  // 512 cells
-  auto prev = hilbert_decode(0, bits);
-  for (uint64_t h = 1; h < 512; ++h) {
-    const auto cur = hilbert_decode(h, bits);
-    const int manhattan =
-        std::abs(static_cast<int>(cur.x) - static_cast<int>(prev.x)) +
-        std::abs(static_cast<int>(cur.y) - static_cast<int>(prev.y)) +
-        std::abs(static_cast<int>(cur.z) - static_cast<int>(prev.z));
-    EXPECT_EQ(manhattan, 1) << "jump at h=" << h;
-    prev = cur;
-  }
-}
-
-TEST(Hilbert, SortBeatsMortonOnLocality) {
-  const Box box({32, 32, 32});
-  Rng rng(602, 0);
-  std::vector<Vec3> pos;
-  for (int i = 0; i < 3000; ++i) pos.push_back(rng.uniform_in_box(box.lengths()));
-  auto mean_step = [&](const std::vector<int>& perm) {
-    const auto sorted = apply_permutation(std::span<const Vec3>(pos),
-                                          std::span<const int>(perm));
-    double acc = 0;
-    for (size_t i = 1; i < sorted.size(); ++i) {
-      acc += box.distance(sorted[i - 1], sorted[i]);
-    }
-    return acc / static_cast<double>(sorted.size() - 1);
-  };
-  const double hilbert = mean_step(hilbert_order(box, pos));
-  const double morton = mean_step(morton_order(box, pos));
-  EXPECT_LT(hilbert, morton);
-}
 
 TEST(RandomizedRouting, RoutesRemainMinimalAndCorrect) {
   noc::TorusConfig cfg;

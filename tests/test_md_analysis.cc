@@ -76,6 +76,7 @@ TEST(Rdf, WaterOxygenStructureAfterEquilibration) {
   p.dt_fs = 1.5;
   p.respa_k = 2;
   p.long_range = LongRangeMethod::kMesh;
+  p.thermostat = ThermostatKind::kLangevin;
   p.temperature_k = 300.0;
   p.langevin_gamma_per_fs = 0.05;
   Simulation sim(std::move(sys), p);

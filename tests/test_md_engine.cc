@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "chem/builder.h"
+#include "common/error.h"
 #include "md/engine.h"
 #include "md/minimize.h"
 
@@ -118,6 +121,7 @@ TEST(Engine, LangevinThermostatsToTarget) {
   System sys = build_water_box(125, 107);
   sys.assign_velocities(100.0, 1);  // start cold
   MdParams p = fast_params();
+  p.thermostat = ThermostatKind::kLangevin;
   p.temperature_k = 300.0;
   p.langevin_gamma_per_fs = 0.05;
   Simulation sim(std::move(sys), p);
@@ -164,6 +168,7 @@ TEST(Engine, DirectAndMeshEnergiesAgree) {
 TEST(Engine, NeighborListRebuildsDuringRun) {
   System sys = build_water_box(125, 110);
   MdParams p = fast_params();
+  p.thermostat = ThermostatKind::kLangevin;
   p.temperature_k = 300.0;
   p.langevin_gamma_per_fs = 0.02;
   Simulation sim(std::move(sys), p);
@@ -233,6 +238,79 @@ TEST(Engine, NveConservationThreadedDeterministic) {
   const double ke = sim.system().kinetic_energy();
   EXPECT_LT(std::abs(e1 - e0), 0.01 * ke)
       << "E0=" << e0 << " E1=" << e1 << " KE=" << ke;
+}
+
+TEST(Simulation, DegenerateParamsRejected) {
+  // Every case must end in a clean anton::Error naming the bad field at
+  // construction: never a division by zero in the barostat cadence,
+  // velocities driven to infinity until RATTLE fails, or a thermostat the
+  // caller did not select.
+  const System water = build_water_box(125, 112);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* field;
+    void (*mutate)(MdParams&);
+  };
+  const Case cases[] = {
+      {"respa_k", [](MdParams& p) { p.respa_k = 0; }},
+      {"dt_fs", [](MdParams& p) { p.dt_fs = 0; }},
+      {"dt_fs", [](MdParams& p) { p.dt_fs = kInf; }},
+      {"barostat_interval",
+       [](MdParams& p) {
+         p.barostat = BarostatKind::kBerendsen;
+         p.barostat_interval = 0;
+       }},
+      {"barostat_tau_fs",
+       [](MdParams& p) {
+         p.barostat = BarostatKind::kBerendsen;
+         p.barostat_tau_fs = 0;
+       }},
+      {"barostat_tau_fs",
+       [](MdParams& p) {
+         p.barostat = BarostatKind::kBerendsen;
+         p.barostat_tau_fs = kNaN;
+       }},
+      {"thermostat_tau_fs",
+       [](MdParams& p) {
+         p.thermostat = ThermostatKind::kBerendsen;
+         p.thermostat_tau_fs = 0;
+       }},
+      {"thermostat_tau_fs",
+       [](MdParams& p) {
+         p.thermostat = ThermostatKind::kVelocityRescale;
+         p.thermostat_tau_fs = -100;
+       }},
+      {"thermostat_tau_fs",
+       [](MdParams& p) {
+         p.thermostat = ThermostatKind::kBerendsen;
+         p.thermostat_tau_fs = kInf;
+       }},
+      {"langevin_gamma_per_fs",
+       [](MdParams& p) {
+         p.thermostat = ThermostatKind::kLangevin;
+         p.langevin_gamma_per_fs = -0.05;
+       }},
+      {"langevin_gamma_per_fs",
+       [](MdParams& p) {
+         p.thermostat = ThermostatKind::kLangevin;
+         p.langevin_gamma_per_fs = kNaN;
+       }},
+      {"langevin_gamma_per_fs",
+       [](MdParams& p) { p.langevin_gamma_per_fs = 0.05; }},  // kNone
+  };
+  for (const Case& k : cases) {
+    MdParams p = fast_params();
+    p.long_range = LongRangeMethod::kNone;
+    k.mutate(p);
+    try {
+      const Simulation sim(water, p);
+      ADD_FAILURE() << k.field << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -316,15 +316,16 @@ System empty_like(const System& sys) {
 TEST(Workload, DegenerateInputRejected) {
   // A non-finite coordinate used to bin to a garbage node (an out-of-bounds
   // write), so did a finite but huge one (|z| ~ 1e18 Å wraps out of the
-  // box), and an empty system estimated a finite rate.  All are rejected
-  // before any binning, on the path that Workload::build and
-  // analyze_decomposition share, naming the atom.
+  // box), and an empty system estimated a finite rate.  These and a cutoff
+  // beyond the minimum-image limit are all rejected before any binning, on
+  // the path that Workload::build and analyze_decomposition share.
   const System water = build_water_box(300, 52, -1);
   const double inf = std::numeric_limits<double>::infinity();
   struct Row {
     const char* name;
     System sys;
     const char* message;
+    double cutoff = 6.0;  // the machine cutoff, Å
   };
   const Row rows[] = {
       {"NaN", with_z(water, 17, std::nan("")), "atom 17 has a non-finite"},
@@ -335,9 +336,11 @@ TEST(Workload, DegenerateInputRejected) {
       {"-1.12e18", with_z(water, 9, -1.12e18),
        "atom 9 has a non-finite or out-of-range"},
       {"0 atoms", empty_like(water), "the system has no atoms"},
+      {"cutoff just beyond L/2", water, "exceeds minimum-image limit",
+       std::nextafter(water.box().max_cutoff(), inf)},
   };
-  const auto cfg = tiny_machine(2, 2, 2, 6.0);
   for (const Row& row : rows) {
+    const auto cfg = tiny_machine(2, 2, 2, row.cutoff);
     expect_error([&] { Workload::build(row.sys, cfg); }, row.message,
                  std::string(row.name) + ", Workload::build");
     expect_error(
