@@ -157,15 +157,17 @@ step "perfbench self-test (.bench_build/)"
 python3 perfbench/selftest.py
 
 # The machine model's exactness gate at full size, as CI's
-# perfbench-reference job runs it: one DHFR/512 estimate's us/day, both
-# step makespans, critical wait and task count must equal
+# perfbench-reference job runs it: one DHFR/512 and one STMV/512 estimate's
+# us/day, both step makespans, critical wait and task count must equal
 # perfbench/reference.json bit for bit.
-step "estimate exactness (estimate_dhfr512 against perfbench/reference.json)"
-python3 perfbench/run.py --workload estimate_dhfr512 --seed 0 --seconds 2 \
-  --trace 0 | tee "$SCRATCH/perfbench.log"
-tail -n 1 "$SCRATCH/perfbench.log" | python3 -c '
+for workload in estimate_dhfr512 estimate_stmv512; do
+  step "estimate exactness ($workload against perfbench/reference.json)"
+  python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 2 \
+    --trace 0 | tee "$SCRATCH/perfbench.log"
+  tail -n 1 "$SCRATCH/perfbench.log" | python3 -c '
 import json, sys
 sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
+done
 
 # Sanitizer trees use the scalar SIMD backend: instrumentation composes
 # poorly with wide intrinsics (ASan shadow checks on 32-byte lanes), and the

@@ -281,6 +281,8 @@ struct MaskF {
   bool any() const { return _mm256_movemask_ps(m) != 0; }
   bool all() const { return _mm256_movemask_ps(m) == 0xFF; }
   bool lane(int i) const { return (_mm256_movemask_ps(m) >> i) & 1; }
+  // Bitmask of active lanes (bit l = lane l).
+  int bits() const { return _mm256_movemask_ps(m); }
   friend MaskF operator&(MaskF a, MaskF b) {
     return {_mm256_and_ps(a.m, b.m)};
   }
@@ -327,6 +329,27 @@ struct VecF {
     float acc = lanes[0];
     for (int l = 1; l < kLanesF; ++l) acc += lanes[l];
     return acc;
+  }
+};
+
+// 8 int32 lanes, compared into a MaskF (slot and node indices).
+struct VecI8 {
+  __m256i v;
+
+  static VecI8 broadcast(int x) { return {_mm256_set1_epi32(x)}; }
+  static VecI8 loadu(const int* p) {
+    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
+  }
+  int lane(int i) const {
+    alignas(32) int lanes[kLanesF];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
+    return lanes[i];
+  }
+  friend MaskF cmp_eq(VecI8 a, VecI8 b) {
+    return {_mm256_castsi256_ps(_mm256_cmpeq_epi32(a.v, b.v))};
+  }
+  friend MaskF cmp_gt(VecI8 a, VecI8 b) {
+    return {_mm256_castsi256_ps(_mm256_cmpgt_epi32(a.v, b.v))};
   }
 };
 
@@ -605,6 +628,11 @@ struct MaskF {
     return true;
   }
   bool lane(int i) const { return m[i]; }
+  int bits() const {
+    int r = 0;
+    for (int l = 0; l < kLanesF; ++l) r |= (m[l] ? 1 : 0) << l;
+    return r;
+  }
   friend MaskF operator&(MaskF a, MaskF b) {
     MaskF r;
     for (int l = 0; l < kLanesF; ++l) r.m[l] = a.m[l] && b.m[l];
@@ -697,6 +725,28 @@ struct VecF {
     float acc = v[0];
     for (int l = 1; l < kLanesF; ++l) acc += v[l];
     return acc;
+  }
+};
+
+struct VecI8 {
+  int v[kLanesF];
+
+  static VecI8 broadcast(int x) { return {{x, x, x, x, x, x, x, x}}; }
+  static VecI8 loadu(const int* p) {
+    VecI8 r;
+    for (int l = 0; l < kLanesF; ++l) r.v[l] = p[l];
+    return r;
+  }
+  int lane(int i) const { return v[i]; }
+  friend MaskF cmp_eq(VecI8 a, VecI8 b) {
+    MaskF r;
+    for (int l = 0; l < kLanesF; ++l) r.m[l] = a.v[l] == b.v[l];
+    return r;
+  }
+  friend MaskF cmp_gt(VecI8 a, VecI8 b) {
+    MaskF r;
+    for (int l = 0; l < kLanesF; ++l) r.m[l] = a.v[l] > b.v[l];
+    return r;
   }
 };
 

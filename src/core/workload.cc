@@ -1,12 +1,13 @@
 #include "core/workload.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <exception>
-#include <span>
 
 #include "common/error.h"
+#include "common/simd.h"
 #include "common/threadpool.h"
 #include "fft/fft.h"
 #include "geom/pair_pass.h"
@@ -80,17 +81,34 @@ class TileIndex {
     const int sy = 2 * r_[1] + 1, sz = 2 * r_[2] + 1;
     return {k / (sy * sz) - r_[0], k / sz % sy - r_[1], k % sz - r_[2]};
   }
-  // 2 * offset index + flip for a pair on distinct nodes a and b, where a
-  // holds the atom with the lower index: node a's tile at the wrapped
+  // Where a pair on distinct nodes a and b counts.  `up` is its place when
+  // a holds the atom with the lower index: node a's tile at the wrapped
   // offset b - a, or with flip set, node b's tile at a - b, whichever
-  // offset is in the positive half.
-  int lookup(int a, int b) const {
-    const int e = lookup_[static_cast<size_t>(
-        rank_code_[static_cast<size_t>(b)] -
-        rank_code_[static_cast<size_t>(a)] + center_)];
-    ANTON_CHECK_MSG(e >= 0, "a pair within the cutoff spans more home boxes "
-                            "than the cutoff allows");
-    return e;
+  // offset is in the positive half; `down` is its place when b holds it.
+  // The two name the same tile except where a wrapped offset component is
+  // exactly n/2, which both directions wrap to.
+  struct Place {
+    int tile;          // owner node * size() + offset index
+    bool remote_is_a;  // the atom on node a is the tile's remote one
+  };
+  struct Places {
+    Place up, down;
+  };
+  Places lookup(int a, int b) const {
+    const int d = rank_code_[static_cast<size_t>(b)] -
+                  rank_code_[static_cast<size_t>(a)];
+    const int e_up = lookup_[static_cast<size_t>(center_ + d)];
+    const int e_down = lookup_[static_cast<size_t>(center_ - d)];
+    ANTON_CHECK_MSG(e_up >= 0 && e_down >= 0,
+                    "a pair within the cutoff spans more home boxes than "
+                    "the cutoff allows");
+    const int K = size();
+    // A flip hands the tile to the node of the higher atom, whose remote
+    // atom is then the lower one.
+    const bool flip_up = (e_up & 1) != 0;
+    const bool flip_down = (e_down & 1) != 0;
+    return {{(flip_up ? b : a) * K + (e_up >> 1), flip_up},
+            {(flip_down ? a : b) * K + (e_down >> 1), !flip_down}};
   }
 
  private:
@@ -140,32 +158,129 @@ struct RangeCount {
   }
 };
 
-void count_range(const PairPass& pass, std::span<const int> node,
-                 const TileIndex& index, RangeCount& r) {
-  const int n = pass.num_atoms();
-  const int K = index.size();
-  TileCount* tiles = r.tiles.data();
-  int64_t* internal = r.internal.data();
-  int* last = r.last.data();
-  int* first = r.first.data();
-  pass.for_each(r.z0, r.z1, [&](int s, int t) {
-    const int a = node[static_cast<size_t>(s)];
-    const int b = node[static_cast<size_t>(t)];
-    if (a == b) {
-      internal[a]++;
+// Bit k is set where p[k] == v (kEqual) or p[k] > v, for k in [0, 64).
+template <bool kEqual>
+uint64_t word_bits(const int* p, int v) {
+  const simd::VecI8 b = simd::VecI8::broadcast(v);
+  uint64_t bits = 0;
+  for (int q = 0; q < PairPass::kWord; q += simd::kLanesF) {
+    const simd::VecI8 x = simd::VecI8::loadu(p + q);
+    const simd::MaskF m = kEqual ? cmp_eq(x, b) : cmp_gt(x, b);
+    bits |= static_cast<uint64_t>(m.bits()) << q;
+  }
+  return bits;
+}
+
+// Counts one range's pairs a hit word at a time.  Internal pairs are a
+// popcount; the other hits are grouped by node, one tile lookup per group.
+// The run count of Tile::remote_atoms is the serial walk's: a word's hits
+// whose remote atom is t touch distinct stamps, so their order within the
+// word does not matter, while those whose remote atom is s all share s's
+// stamp and replay in slot order when they name several tiles.
+class WordCount {
+ public:
+  WordCount(const PairPass& pass, const int* node, const TileIndex& index,
+            RangeCount& r)
+      : n_(pass.num_atoms()),
+        atoms_(pass.slot_atoms()),
+        node_(node),
+        index_(index),
+        r_(r),
+        tiles_(r.tiles.data()),
+        internal_(r.internal.data()),
+        last_(r.last.data()),
+        first_(r.first.data()) {}
+
+  void operator()(int s, int t0, uint64_t word) {
+    const int a = node_[s];
+    const uint64_t local = word & word_bits<true>(node_ + t0, a);
+    internal_[a] += std::popcount(local);
+    if (local != word) remote(s, t0, word & ~local);
+  }
+
+ private:
+  // Stamps `slot` with `tile`; returns 1 if that starts a new run, that is
+  // if the tile that last counted the slot's atom is another one.
+  int stamp(int slot, int tile) {
+    const int i = r_.offset(slot, n_);
+    int& st = last_[i];
+    if (st < 0 && (i < r_.low || i >= r_.high)) first_[r_.record(i)] = tile;
+    const int fresh = st != tile ? 1 : 0;
+    st = tile;
+    return fresh;
+  }
+
+  // The hits of slot s on other nodes, out of line: on a large home box
+  // most words hold none.
+  __attribute__((noinline)) void remote(int s, int t0, uint64_t rest) {
+    const int a = node_[s];
+    const int* nt = node_ + t0;
+    // The hits whose remote atom is s, by tile: disjoint and non-empty, so
+    // a word holds at most kWord runs.
+    struct Run {
+      int tile;
+      uint64_t hits;
+    };
+    Run runs[PairPass::kWord];
+    int nruns = 0;
+    auto count = [&](const TileIndex::Place& p, bool remote_is_s,
+                     uint64_t hits) {
+      if (hits == 0) return;
+      TileCount& tc = tiles_[p.tile];
+      tc.pairs += std::popcount(hits);
+      if (remote_is_s) {
+        runs[nruns++] = {p.tile, hits};
+        return;
+      }
+      int64_t fresh = 0;
+      for (; hits != 0; hits &= hits - 1) {
+        fresh += stamp(t0 + std::countr_zero(hits), p.tile);
+      }
+      tc.remote_atoms += fresh;
+    };
+    while (rest != 0) {
+      const int b = nt[std::countr_zero(rest)];
+      const uint64_t group = rest & word_bits<true>(nt, b);
+      rest &= ~group;
+      const TileIndex::Places e = index_.lookup(a, b);
+      if (e.up.tile == e.down.tile) {
+        count(e.up, e.up.remote_is_a, group);
+      } else {
+        // s holds the lower atom of the pairs whose t holds a greater one.
+        const uint64_t up = group & word_bits<false>(atoms_ + t0, atoms_[s]);
+        count(e.up, e.up.remote_is_a, up);
+        count(e.down, e.down.remote_is_a, group & ~up);
+      }
+    }
+    if (nruns == 1) {
+      tiles_[runs[0].tile].remote_atoms += stamp(s, runs[0].tile);
       return;
     }
-    const int e = index.lookup(a, b);
-    const bool flip = (e & 1) != 0;
-    const int tile = (flip ? b : a) * K + (e >> 1);
-    TileCount& tc = tiles[tile];
-    tc.pairs++;
-    const int i = r.offset(flip ? s : t, n);
-    int& stamp = last[i];
-    if (stamp < 0 && (i < r.low || i >= r.high)) first[r.record(i)] = tile;
-    tc.remote_atoms += stamp != tile ? 1 : 0;
-    stamp = tile;
-  });
+    uint64_t all = 0;
+    for (int k = 0; k < nruns; ++k) all |= runs[k].hits;
+    for (; all != 0; all &= all - 1) {
+      const uint64_t bit = all & (~all + 1);
+      int k = 0;
+      while ((runs[k].hits & bit) == 0) ++k;
+      tiles_[runs[k].tile].remote_atoms += stamp(s, runs[k].tile);
+    }
+  }
+
+  int n_;
+  const int* atoms_;
+  const int* node_;
+  const TileIndex& index_;
+  RangeCount& r_;
+  TileCount* tiles_;
+  int64_t* internal_;
+  int* last_;
+  int* first_;
+};
+
+void count_range(const PairPass& pass, const int* node,
+                 const TileIndex& index, RangeCount& r) {
+  ANTON_HOT_NOALLOC();
+  pass.for_each_word(r.z0, r.z1, WordCount(pass, node, index, r));
 }
 
 // The serial walk counts an atom's first stamp in `cur` as a new run only
@@ -190,7 +305,7 @@ struct PairCounts {
 // Counts every pair into its node's internal pairs or its tile, one range
 // of layers per thread, and merges the ranges into exactly the serial
 // walk's counts.
-PairCounts count_pairs(const PairPass& pass, std::span<const int> node,
+PairCounts count_pairs(const PairPass& pass, const int* node,
                        const TileIndex& index, int nodes, ThreadPool& pool) {
   const int n = pass.num_atoms();
   std::vector<int> bounds;
@@ -288,12 +403,13 @@ Workload Workload::build(const System& system,
   // --- exact pair counting with half-shell tile assignment ----------------
   const TileIndex index(dd, rc);
   const int K = index.size();
-  // Node of each slot's atom, read in the pass's walk order.
-  std::vector<int> node(pos.size());
+  // Node of each slot's atom, read in the pass's walk order, padded as
+  // PairPass::slot_atoms() is so that a word's 64 slots can be loaded.
+  std::vector<int> node(pos.size() + PairPass::kWord - 1, -1);
   for (size_t s = 0; s < pos.size(); ++s) {
     node[s] = owner[static_cast<size_t>(pass.atom(static_cast<int>(s)))];
   }
-  const PairCounts counts = count_pairs(pass, node, index, P, pool);
+  const PairCounts counts = count_pairs(pass, node.data(), index, P, pool);
   const std::vector<TileCount>& tiles = counts.tiles;
   const std::vector<int64_t>& internal = counts.internal;
 

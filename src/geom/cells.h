@@ -4,6 +4,7 @@
 // and by the synthetic system builders for overlap rejection.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,15 +33,16 @@ class CellGrid {
 
   // Cell index for a (wrapped or unwrapped) finite position.
   int cell_of(const Vec3& p) const {
-    const Vec3 w = box_.wrap(p);
-    const Vec3& l = box_.lengths();
-    int cx = static_cast<int>(w.x / l.x * nx_);
-    int cy = static_cast<int>(w.y / l.y * ny_);
-    int cz = static_cast<int>(w.z / l.z * nz_);
-    if (cx >= nx_) cx = nx_ - 1;
-    if (cy >= ny_) cy = ny_ - 1;
-    if (cz >= nz_) cz = nz_ - 1;
+    int cx, cy, cz;
+    wrapped_coords(box_.wrap(p), &cx, &cy, &cz);
     return index(cx, cy, cz);
+  }
+  // Cell coordinates of a Box::wrap()ped position, as cell_of bins it.
+  void wrapped_coords(const Vec3& w, int* cx, int* cy, int* cz) const {
+    const Vec3& l = box_.lengths();
+    *cx = std::min(static_cast<int>(w.x / l.x * nx_), nx_ - 1);
+    *cy = std::min(static_cast<int>(w.y / l.y * ny_), ny_ - 1);
+    *cz = std::min(static_cast<int>(w.z / l.z * nz_), nz_ - 1);
   }
 
   int index(int cx, int cy, int cz) const {

@@ -14,10 +14,17 @@
 //   * Cell grids with at least 3 cells (side >= rc) per axis: cells in
 //     ascending index, each cell's neighbours in CellGrid::half_stencil_shifts
 //     order, then the cell's atoms in bin order, then the neighbour's atoms
-//     in bin order (only later atoms within the cell itself).  The filter
-//     reads a cell-sorted copy of the Box::wrap()ped positions and uses the
-//     division-free cell-image displacement (a - b) - shift, the same
-//     association Box::min_image evaluates, 4 candidates per SIMD step.
+//     in bin order (only later atoms within the cell itself).  A pair is in
+//     range when the division-free cell-image displacement (a - b) - shift
+//     of the Box::wrap()ped positions, the same association Box::min_image
+//     evaluates, has r^2 < rc^2.  A float filter on cell-local coordinates,
+//     8 candidates per SIMD step, decides every candidate whose float r^2
+//     lies outside a relative band of kBand around rc^2, far wider than
+//     the float error; the exact double test decides the rest.  An
+//     (atom, neighbour cell) segment whose float gap to the bounds of that
+//     cell's atoms reaches the band is skipped: by monotone rounding no
+//     candidate in it could pass the filter, so the hits are those of the
+//     exact test alone.
 //   * Smaller grids: all pairs (i, j), i < j in atom order, filtered with
 //     Box::distance2 on a copy of the positions as given.
 //
@@ -51,11 +58,20 @@ class PairPass {
   // the previous binning, a rebin allocates nothing.
   void rebin(const Box& box, std::span<const Vec3> positions);
 
-  int num_atoms() const { return static_cast<int>(atoms_.size()); }
+  // The filter's band: a candidate whose float r^2 lies within a relative
+  // kBand of rc^2 is re-decided by the exact double test.
+  static constexpr double kBand = 0x1p-10;
+  // Candidates per hit word (for_each_word).
+  static constexpr int kWord = 64;
+
+  int num_atoms() const { return cell_start_.back(); }
   // Atom index held in `slot`.  Slots number the atoms in walk order (cell
   // by cell on the cell walk, atom order on the all-pairs fallback), so
   // per-atom data indexed by slot is read with good locality.
   int atom(int slot) const { return atoms_[static_cast<size_t>(slot)]; }
+  // atom(slot) for every slot, padded with kWord - 1 zeros so that the
+  // kWord slots of a hit word can be loaded whole.
+  const int* slot_atoms() const { return atoms_.data(); }
 
   // Home cells are numbered z-major (CellGrid::index), so z-layer z is a
   // contiguous run of cells and of slots: [layer_start(z),
@@ -83,6 +99,15 @@ class PairPass {
   };
   Window reach(int z0, int z1) const;
 
+  // Calls g(s, t0, word) with the hits of slot s among the slots
+  // [t0, t0 + kWord): bit k of `word` is set when slots s and t0 + k lie
+  // within rc, and `word` is never 0.  The pairs are those whose home cell
+  // lies in layers [z0, z1), in the order described above (ascending bits
+  // within a word); consecutive ranges concatenate to the full walk.  The
+  // atom order of a pair is not resolved: atom(s) may exceed atom(t).
+  template <class G>
+  void for_each_word(int z0, int z1, G&& g) const;
+
   // Calls f(s, t) on every pair of slots whose atoms lie within rc, with
   // atom(s) < atom(t), in the order described above.
   template <class F>
@@ -94,24 +119,59 @@ class PairPass {
   template <class F>
   void for_each(int z0, int z1, F&& f) const;
 
+  // Whether the walk skips slot s against `cell`, a neighbour of s's cell
+  // in its half stencil, without filtering a candidate: the float gap from
+  // s to the bounds of that cell's atoms reaches the band's upper edge.
+  // The cell walk only.
+  bool culls(int s, int cell) const;
+
  private:
+  // Float bounds of a cell's atoms in its own frame (24 B/cell).
+  struct Bounds {
+    float lo[3];
+    float hi[3];
+  };
+
+  // The origin of the frame of `cell`, a neighbour of cell c reached with
+  // image `shift`, minus c's: d * h per axis with d in {-1, 0, 1}, in float.
+  void frame_offset(int c, int cell, const Vec3& shift, float off[3]) const;
+  // The float squared gap from `p`, given in `cell`'s frame, to the bounds
+  // of its atoms, with the filter's own operations, so that it does not
+  // exceed any of those atoms' float r^2.
+  float gap2(int cell, const float p[3]) const {
+    const Bounds& b = bounds_[static_cast<size_t>(cell)];
+    float g[3];
+    for (int k = 0; k < 3; ++k) {
+      g[k] = std::max(0.0f, std::max(b.lo[k] - p[k], p[k] - b.hi[k]));
+    }
+    return (g[0] * g[0] + g[1] * g[1]) + g[2] * g[2];
+  }
+
   double rc_;
   double rc2_;
+  // The band's edges in float: a float r^2 below band_lo_ is a hit, one at
+  // or above band_hi_ a miss.
+  float band_lo_;
+  float band_hi_;
   CellGrid grid_;  // box and cell geometry; never binned
   bool all_pairs_ = false;  // under 3 cells along some axis
   int cells_per_layer_ = 1;  // nx * ny; 1 on the fallback
   std::vector<int> cell_start_;  // cell -> first slot, plus num_atoms()
-  std::vector<int> atoms_;       // slot -> atom
+  // slot -> atom, padded with kWord - 1 zeros (slot_atoms()).
+  std::vector<int> atoms_;
   // Positions by slot, wrapped on the cell walk and as given on the
-  // fallback, padded with kLanesD - 1 zeros so a full SIMD load never
-  // reads past the end.
+  // fallback: the exact test's operands.
   std::vector<double> x_, y_, z_;
+  // The cell walk's filter operands: positions by slot relative to their
+  // cell's origin in float, padded with kLanesF - 1 zeros so that a full
+  // SIMD load never reads past the end, and each cell's bounds.  Empty on
+  // the fallback.
+  std::vector<float> fx_, fy_, fz_;
+  std::vector<Bounds> bounds_;
 };
 
-template <class F>
-void PairPass::for_each(int z0, int z1, F&& f) const {
-  using simd::VecD;
-  constexpr int W = simd::kLanesD;
+template <class G>
+void PairPass::for_each_word(int z0, int z1, G&& g) const {
   const double* xs = x_.data();
   const double* ys = y_.data();
   const double* zs = z_.data();
@@ -120,13 +180,27 @@ void PairPass::for_each(int z0, int z1, F&& f) const {
     const int n = num_atoms();
     for (int i = layer_start(z0); i < layer_start(z1); ++i) {
       const Vec3 pi{xs[i], ys[i], zs[i]};
-      for (int j = i + 1; j < n; ++j) {
-        if (box.distance2(pi, Vec3{xs[j], ys[j], zs[j]}) < rc2_) f(i, j);
+      for (int j0 = i + 1; j0 < n; j0 += kWord) {
+        const int count = std::min(kWord, n - j0);
+        uint64_t word = 0;
+        for (int k = 0; k < count; ++k) {
+          const int j = j0 + k;
+          if (box.distance2(pi, Vec3{xs[j], ys[j], zs[j]}) < rc2_) {
+            word |= uint64_t{1} << k;
+          }
+        }
+        if (word != 0) g(i, j0, word);
       }
     }
     return;
   }
-  const VecD rc2 = VecD::broadcast(rc2_);
+  using simd::VecF;
+  constexpr int W = simd::kLanesF;
+  const float* fx = fx_.data();
+  const float* fy = fy_.data();
+  const float* fz = fz_.data();
+  const VecF lo = VecF::broadcast(band_lo_);
+  const VecF hi = VecF::broadcast(band_hi_);
   const int* start = cell_start_.data();
   int cells[14];
   Vec3 shifts[14];
@@ -135,42 +209,73 @@ void PairPass::for_each(int z0, int z1, F&& f) const {
     if (start[c] == a_end) continue;
     const int stencil = grid_.half_stencil_shifts(c, cells, shifts);
     for (int e = 0; e < stencil; ++e) {
-      // Entry 0 is the cell itself: only later atoms pair with each one.
+      // Entry 0 is the cell itself: only later atoms pair with each one,
+      // and every one lies within its bounds.
       const bool self = e == 0;
       const int b_begin = start[cells[e]];
       const int b_end = start[cells[e] + 1];
-      const VecD sx = VecD::broadcast(shifts[e].x);
-      const VecD sy = VecD::broadcast(shifts[e].y);
-      const VecD sz = VecD::broadcast(shifts[e].z);
+      if (b_begin == b_end) continue;
+      float off[3];
+      frame_offset(c, cells[e], shifts[e], off);
       for (int s = start[c]; s < a_end; ++s) {
-        const VecD ax = VecD::broadcast(xs[s]);
-        const VecD ay = VecD::broadcast(ys[s]);
-        const VecD az = VecD::broadcast(zs[s]);
-        const int atom_s = atoms_[static_cast<size_t>(s)];
-        // Filter 64 candidates into one hit word, then emit its set bits:
-        // the data-dependent branches run once per hit and once per word,
-        // not once per SIMD step.
-        for (int t0 = self ? s + 1 : b_begin; t0 < b_end; t0 += 64) {
-          const int count = std::min(64, b_end - t0);
-          uint64_t word = 0;
-          for (int q = 0; q < count; q += W) {
-            const VecD dx = (ax - VecD::loadu(xs + t0 + q)) - sx;
-            const VecD dy = (ay - VecD::loadu(ys + t0 + q)) - sy;
-            const VecD dz = (az - VecD::loadu(zs + t0 + q)) - sz;
-            const VecD r2 = (dx * dx + dy * dy) + dz * dz;
-            word |= static_cast<uint64_t>(cmp_lt(r2, rc2).bits()) << q;
+        // s in the neighbour cell's frame.
+        const float p[3] = {fx[s] - off[0], fy[s] - off[1], fz[s] - off[2]};
+        if (!self && gap2(cells[e], p) >= band_hi_) continue;
+        const VecF ax = VecF::broadcast(p[0]);
+        const VecF ay = VecF::broadcast(p[1]);
+        const VecF az = VecF::broadcast(p[2]);
+        // Filter a word of candidates into a sure-hit word and a band
+        // word; only the band's candidates take the exact test.
+        for (int t0 = self ? s + 1 : b_begin; t0 < b_end; t0 += kWord) {
+          const int count = std::min(kWord, b_end - t0);
+          // Each step's lanes enter at the top of the words, so every
+          // shift is by a constant; the last step's land at the top.
+          uint64_t sure = 0;
+          uint64_t maybe = 0;
+          int q = 0;
+          for (; q < count; q += W) {
+            const VecF dx = ax - VecF::loadu(fx + t0 + q);
+            const VecF dy = ay - VecF::loadu(fy + t0 + q);
+            const VecF dz = az - VecF::loadu(fz + t0 + q);
+            const VecF r2 = (dx * dx + dy * dy) + dz * dz;
+            sure = sure >> W | static_cast<uint64_t>(cmp_lt(r2, lo).bits())
+                                   << (kWord - W);
+            maybe = maybe >> W | static_cast<uint64_t>(cmp_lt(r2, hi).bits())
+                                     << (kWord - W);
           }
-          if (count < 64) word &= (uint64_t{1} << count) - 1;
-          while (word != 0) {
-            const int t = t0 + std::countr_zero(word);
-            word &= word - 1;
-            const bool lower = atom_s < atoms_[static_cast<size_t>(t)];
-            f(lower ? s : t, lower ? t : s);
+          sure >>= kWord - q;
+          maybe >>= kWord - q;
+          if (count < kWord) {
+            const uint64_t valid = (uint64_t{1} << count) - 1;
+            sure &= valid;
+            maybe &= valid;
           }
+          for (uint64_t band = maybe & ~sure; band != 0; band &= band - 1) {
+            const int k = std::countr_zero(band);
+            const int t = t0 + k;
+            const double dx = (xs[s] - xs[t]) - shifts[e].x;
+            const double dy = (ys[s] - ys[t]) - shifts[e].y;
+            const double dz = (zs[s] - zs[t]) - shifts[e].z;
+            if ((dx * dx + dy * dy) + dz * dz < rc2_) sure |= uint64_t{1} << k;
+          }
+          if (sure != 0) g(s, t0, sure);
         }
       }
     }
   }
+}
+
+template <class F>
+void PairPass::for_each(int z0, int z1, F&& f) const {
+  const int* atoms = atoms_.data();
+  for_each_word(z0, z1, [&](int s, int t0, uint64_t word) {
+    const int atom_s = atoms[s];
+    for (; word != 0; word &= word - 1) {
+      const int t = t0 + std::countr_zero(word);
+      const bool lower = atom_s < atoms[t];
+      f(lower ? s : t, lower ? t : s);
+    }
+  });
 }
 
 }  // namespace anton

@@ -24,7 +24,7 @@ namespace anton::obs::flight {
 // Non-anonymous so Ring's friend declaration resolves.
 struct GlobalState {
   static constexpr int kMaxThreads = 128;
-  static constexpr uint64_t kDefaultDepth = 4096;
+  static constexpr uint64_t kDepth = 4096;  // records per ring, a power of 2
 
   std::mutex mu;                 // guards attach / config / regular dump
   Ring rings[kMaxThreads];
@@ -32,7 +32,6 @@ struct GlobalState {
   std::atomic<int> n{0};
   bool config_loaded = false;
   bool enabled = true;
-  uint64_t depth = kDefaultDepth;
   char path[512] = {0};
   std::atomic<bool> handlers_installed{false};
   std::atomic<bool> fail_dumped{false};
@@ -42,15 +41,6 @@ struct GlobalState {
     config_loaded = true;
     const char* env = std::getenv("ANTON_FLIGHT");
     enabled = !(env != nullptr && std::strcmp(env, "0") == 0);
-    depth = kDefaultDepth;
-    if (const char* d = std::getenv("ANTON_FLIGHT_DEPTH")) {
-      const long v = std::strtol(d, nullptr, 10);
-      if (v > 0) {
-        uint64_t p = 64;
-        while (p < static_cast<uint64_t>(v) && p < (1ULL << 20)) p <<= 1;
-        depth = p;
-      }
-    }
     if (path[0] == '\0') {
       const char* p = std::getenv("ANTON_FLIGHT_PATH");
       if (p != nullptr && *p != '\0') {
@@ -68,9 +58,9 @@ struct GlobalState {
     if (!enabled) return nullptr;
     const int i = n.load(std::memory_order_relaxed);
     if (i >= kMaxThreads) return nullptr;
-    buffers[i] = new Record[depth]();
+    buffers[i] = new Record[kDepth]();
     rings[i].buf_ = buffers[i];
-    rings[i].mask_ = depth - 1;
+    rings[i].mask_ = kDepth - 1;
     rings[i].head_.store(0, std::memory_order_relaxed);
     n.store(i + 1, std::memory_order_release);
     return &rings[i];
@@ -341,7 +331,7 @@ void install_crash_handler(const char* path) {
     std::lock_guard<std::mutex> lk(s.mu);
     if (path != nullptr && *path != '\0') {
       std::snprintf(s.path, sizeof(s.path), "%s", path);
-      s.config_loaded = false;  // re-resolve enabled/depth lazily
+      s.config_loaded = false;  // re-resolve the environment lazily
     }
     s.load_config_locked();
   }

@@ -25,10 +25,10 @@
 // clock read in the 10M-events/s queue loop.  The dump separates the two
 // domains by trace pid (kPidFlightWall / kPidFlightSim).
 //
+// Each thread's ring holds the last 4096 records (128 KiB/thread).
+//
 // Environment knobs:
 //   ANTON_FLIGHT=0           disable recording entirely
-//   ANTON_FLIGHT_DEPTH=N     per-thread ring capacity (rounded up to a
-//                            power of two; default 4096 = 128 KiB/thread)
 //   ANTON_FLIGHT_PATH=FILE   dump destination (default anton_flight.<pid>.json)
 //   ANTON_FLIGHT_EXIT_DUMP=1 also dump on clean process exit (smoke tests)
 #pragma once

@@ -36,54 +36,44 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
+// Records each thread's ring keeps.
+constexpr uint64_t kDepth = 4096;
+
 // Each test owns the recorder's global state: reset, then pin the env knobs
 // it relies on (the config is re-read on the first attach after a reset).
-void fresh(const char* depth = nullptr) {
+void fresh() {
   flight::reset_for_testing();
-  if (depth != nullptr) {
-    setenv("ANTON_FLIGHT_DEPTH", depth, 1);
-  } else {
-    unsetenv("ANTON_FLIGHT_DEPTH");
-  }
   unsetenv("ANTON_FLIGHT");
   unsetenv("ANTON_FLIGHT_PATH");
 }
 
 TEST(FlightRecorder, RingWrapKeepsOnlyTheLastDepthRecords) {
-  fresh("64");
-  for (int i = 0; i < 200; ++i) {
+  fresh();
+  constexpr int kRecords = static_cast<int>(kDepth) + 200;
+  for (int i = 0; i < kRecords; ++i) {
     flight::record(flight::Kind::kMark, "wrap",
                    static_cast<uint64_t>(i));
   }
   const flight::Stats st = flight::stats();
   EXPECT_EQ(st.threads, 1);
-  EXPECT_EQ(st.records, 200u);
-  EXPECT_EQ(st.retained, 64u);
+  EXPECT_EQ(st.records, static_cast<uint64_t>(kRecords));
+  EXPECT_EQ(st.retained, kDepth);
 
   const std::string path = "flight_wrap.json";
   ASSERT_TRUE(flight::dump(path.c_str()));
   const std::string d = slurp(path);
   EXPECT_NE(d.find("\"anton.flight.v1\""), std::string::npos);
-  // Retained window is payloads 136..199: the oldest survivor is 136.
-  EXPECT_NE(d.find("\"payload\":199"), std::string::npos);
-  EXPECT_NE(d.find("\"payload\":136"), std::string::npos);
-  EXPECT_EQ(d.find("\"payload\":135"), std::string::npos);
+  // Retained window is payloads 200..4295: the oldest survivor is 200.
+  EXPECT_NE(d.find("\"payload\":4295}"), std::string::npos);
+  EXPECT_NE(d.find("\"payload\":200}"), std::string::npos);
+  EXPECT_EQ(d.find("\"payload\":199}"), std::string::npos);
   std::remove(path.c_str());
 }
 
-TEST(FlightRecorder, DepthRoundsUpToPowerOfTwo) {
-  fresh("100");  // not a power of two: must round to 128
-  flight::record(flight::Kind::kMark, "probe");
-  for (int i = 0; i < 500; ++i) {
-    flight::record(flight::Kind::kMark, "fill");
-  }
-  EXPECT_EQ(flight::stats().retained, 128u);
-}
-
 TEST(FlightRecorder, ConcurrentPerThreadWritersNeverInterleave) {
-  fresh("256");
+  fresh();
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
+  constexpr int kPerThread = 5000;
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -98,7 +88,7 @@ TEST(FlightRecorder, ConcurrentPerThreadWritersNeverInterleave) {
   const flight::Stats st = flight::stats();
   EXPECT_EQ(st.threads, kThreads);  // main never recorded
   EXPECT_EQ(st.records, static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(st.retained, static_cast<uint64_t>(kThreads) * 256u);
+  EXPECT_EQ(st.retained, static_cast<uint64_t>(kThreads) * kDepth);
 
   const std::string path = "flight_threads.json";
   ASSERT_TRUE(flight::dump(path.c_str()));
@@ -108,7 +98,7 @@ TEST(FlightRecorder, ConcurrentPerThreadWritersNeverInterleave) {
 }
 
 TEST(FlightRecorder, SteadyStateRecordingIsAllocationFree) {
-  fresh("4096");
+  fresh();
   // Warm-up: the first record on this thread attaches the ring (the one
   // sanctioned allocation, amortized like the event arena).
   flight::record(flight::Kind::kMark, "warm");

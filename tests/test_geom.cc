@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "geom/box.h"
 #include "geom/cells.h"
 #include "geom/decomp.h"
+#include "geom/pair_pass.h"
 
 namespace anton {
 namespace {
@@ -131,6 +137,132 @@ TEST(CellGrid, HalfStencilCoversAllPairsOnce) {
       EXPECT_EQ(covered.count(p), 1u) << p.first << "," << p.second;
     }
   }
+}
+
+// Every pair i < j with Box::distance2 < rc^2.
+std::set<std::pair<int, int>> brute_force_pairs(const Box& box,
+                                                const std::vector<Vec3>& pos,
+                                                double rc) {
+  std::set<std::pair<int, int>> out;
+  for (size_t i = 0; i < pos.size(); ++i) {
+    for (size_t j = i + 1; j < pos.size(); ++j) {
+      if (box.distance2(pos[i], pos[j]) < rc * rc) {
+        out.emplace(static_cast<int>(i), static_cast<int>(j));
+      }
+    }
+  }
+  return out;
+}
+
+// The pass's pairs equal the brute-force ones, each emitted once with the
+// lower atom first, and for_each is the bit-by-bit expansion of
+// for_each_word in walk order.
+void expect_brute_force_pairs(const Box& box, const std::vector<Vec3>& pos,
+                              double rc, const std::string& what) {
+  const PairPass pass(box, pos, rc);
+  std::vector<std::pair<int, int>> pairs;
+  pass.for_each([&](int s, int t) {
+    pairs.emplace_back(pass.atom(s), pass.atom(t));
+  });
+  std::vector<std::pair<int, int>> from_words;
+  pass.for_each_word(0, pass.num_layers(), [&](int s, int t0, uint64_t word) {
+    EXPECT_NE(word, 0u) << what;
+    for (; word != 0; word &= word - 1) {
+      const int t = t0 + std::countr_zero(word);
+      ASSERT_LT(t, pass.num_atoms()) << what;
+      const int i = pass.atom(s), j = pass.atom(t);
+      from_words.emplace_back(std::min(i, j), std::max(i, j));
+    }
+  });
+  EXPECT_EQ(pairs, from_words) << what;
+  for (const auto& [i, j] : pairs) EXPECT_LT(i, j) << what;
+  const std::set<std::pair<int, int>> unique(pairs.begin(), pairs.end());
+  EXPECT_EQ(unique.size(), pairs.size()) << what << ": a pair emitted twice";
+  EXPECT_EQ(unique, brute_force_pairs(box, pos, rc)) << what;
+}
+
+TEST(PairPass, BoundaryPairsMatchBruteForce) {
+  // rc 3 in a 12 Å box: 4 cells of 3 Å per axis.  Each pair is a, b with
+  // b - a = (1, 2, 2), exactly rc, crossing a cell face, an edge, a corner
+  // or the periodic boundary; then b moves along x by +-1 and +-4 units of
+  // 2^-48, one ulp below 32.  The unwrapped copies shift a and b by
+  // opposite box lengths, which keeps every coordinate and difference below
+  // 32 in magnitude, so both frames compute each difference exactly, and
+  // the float filter's band hands each pair to the exact test.
+  const double rc = 3.0;
+  const Box box({12, 12, 12});
+  struct Geometry {
+    const char* name;
+    Vec3 a;
+  };
+  const Geometry geometries[] = {
+      {"face", {2.5, 0.5, 0.5}},
+      {"edge", {2.5, 2.5, 0.5}},
+      {"corner", {2.5, 2.5, 2.5}},
+      {"periodic image", {11.5, 0.5, 0.5}},
+  };
+  for (const Geometry& g : geometries) {
+    for (int k : {0, -1, 1, -4, 4}) {
+      Vec3 b = box.wrap(g.a + Vec3{1, 2, 2});
+      b.x += k * 0x1p-48;
+      const std::string what =
+          std::string(g.name) + ", " + std::to_string(k) + " ulp";
+      expect_brute_force_pairs(box, {g.a, b}, rc, what + ", wrapped");
+      expect_brute_force_pairs(
+          box, {g.a + Vec3{-12, 12, -12}, b + Vec3{12, -12, 12}}, rc,
+          what + ", unwrapped");
+    }
+  }
+  // The nudges decide: 1 unit inside rc is a pair, 1 outside is not.
+  const Vec3 a{2.5, 2.5, 2.5};
+  const Vec3 inside{3.5 - 0x1p-48, 4.5, 4.5};
+  const Vec3 outside{3.5 + 0x1p-48, 4.5, 4.5};
+  EXPECT_EQ(brute_force_pairs(box, {a, inside}, rc).size(), 1u);
+  EXPECT_EQ(brute_force_pairs(box, {a, outside}, rc).size(), 0u);
+}
+
+TEST(PairPass, CullIsExactAtTheBand) {
+  // Atom 0 in cell (0, 0, 0); the face neighbour (1, 0, 0) holds atom 1 at
+  // a squared distance just beyond or just inside the band's upper edge
+  // rc^2 (1 + kBand), and a farther atom 2.  Beyond, the segment is
+  // culled; inside, it is filtered (and the exact test rejects the pair).
+  const double rc = 3.0;
+  const Box box({12, 12, 12});
+  const CellGrid grid(box, rc);
+  for (const double rel : {0x1p-16, -0x1p-16}) {
+    const double r = rc * std::sqrt((1 + PairPass::kBand) * (1 + rel));
+    const std::vector<Vec3> pos = {
+        {1.5, 1.5, 1.5}, {1.5 + r, 1.5, 1.5}, {5.5, 2.5, 2.5}};
+    const PairPass pass(box, pos, rc);
+    int slot = 0;
+    while (pass.atom(slot) != 0) ++slot;
+    EXPECT_EQ(pass.culls(slot, grid.cell_of(pos[1])), rel > 0)
+        << "relative offset " << rel;
+    expect_brute_force_pairs(box, pos, rc, "cull test");
+  }
+}
+
+TEST(PairPass, DenseCloudMatchesBruteForce) {
+  // About 78 atoms per cell, so a segment spans two hit words; the same
+  // cloud with atoms shifted by -2 to 2 box lengths; and a 2-cell box that
+  // takes the all-pairs fallback.
+  const double rc = 3.0;
+  Rng rng(6, 0);
+  const Box box({12, 12, 12});
+  std::vector<Vec3> pos, unwrapped;
+  for (int i = 0; i < 5000; ++i) {
+    const Vec3 p = rng.uniform_in_box(box.lengths());
+    pos.push_back(p);
+    unwrapped.push_back(p + box.lengths() * static_cast<double>(i % 5 - 2));
+  }
+  expect_brute_force_pairs(box, pos, rc, "dense, wrapped");
+  expect_brute_force_pairs(box, unwrapped, rc, "dense, unwrapped");
+  const Box small({8, 8, 8});
+  std::vector<Vec3> few;
+  for (int i = 0; i < 300; ++i) {
+    few.push_back(rng.uniform_in_box(small.lengths()));
+  }
+  expect_brute_force_pairs(small, few, rc, "all-pairs fallback");
 }
 
 TEST(DomainDecomp, RanksAndCoordsRoundTrip) {

@@ -502,7 +502,10 @@ TEST(Simd, FloatLanesMatchScalarReference) {
       EXPECT_EQ(lt.lane(l), a[l] < b[l]);
       EXPECT_EQ(ge.lane(l), a[l] >= b[l]);
       EXPECT_EQ(bl.lane(l), a[l] < b[l] ? a[l] : b[l]);
+      EXPECT_EQ((lt.bits() >> l) & 1, a[l] < b[l] ? 1 : 0);
+      EXPECT_EQ((ge.bits() >> l) & 1, a[l] >= b[l] ? 1 : 0);
     }
+    EXPECT_EQ(lt.bits() & ~0xFF, 0);
     float acc = a[0];
     for (int l = 1; l < WF; ++l) acc += a[l];
     EXPECT_EQ(va.reduce_ordered(), acc);
@@ -512,6 +515,44 @@ TEST(Simd, FloatLanesMatchScalarReference) {
     for (int l = 0; l < kLanesF; ++l) EXPECT_EQ(m.lane(l), l < n);
     EXPECT_EQ(m.any(), n > 0);
     EXPECT_EQ(m.all(), n == kLanesF);
+    EXPECT_EQ(m.bits(), (1 << n) - 1);
+  }
+}
+
+TEST(Simd, IntLaneComparesMatchScalarReference) {
+  // The 8-lane int32 equal and greater masks, lane by lane and through
+  // MaskF::bits(), on random lanes drawn from a small range (so that equal
+  // lanes are common) and on the extremes.
+  std::mt19937 rng(11);
+  std::uniform_int_distribution<int> dist(-3, 3);
+  const int big = std::numeric_limits<int>::max();
+  const int small = std::numeric_limits<int>::min();
+  for (int rep = 0; rep < 200; ++rep) {
+    int a[kLanesF], b[kLanesF];
+    for (int l = 0; l < kLanesF; ++l) {
+      a[l] = dist(rng);
+      b[l] = dist(rng);
+    }
+    if (rep == 0) {
+      const int extremes[kLanesF] = {big, small, big, small, 0, -1, big, 1};
+      for (int l = 0; l < kLanesF; ++l) {
+        a[l] = extremes[l];
+        b[l] = extremes[(l + 1) % kLanesF];
+      }
+    }
+    const VecI8 va = VecI8::loadu(a);
+    const VecI8 vb = VecI8::loadu(b);
+    const MaskF eq = cmp_eq(va, vb);
+    const MaskF gt = cmp_gt(va, vb);
+    const MaskF eq_b = cmp_eq(va, VecI8::broadcast(b[0]));
+    for (int l = 0; l < kLanesF; ++l) {
+      EXPECT_EQ(va.lane(l), a[l]);
+      EXPECT_EQ(eq.lane(l), a[l] == b[l]) << "lane " << l;
+      EXPECT_EQ(gt.lane(l), a[l] > b[l]) << "lane " << l;
+      EXPECT_EQ((eq.bits() >> l) & 1, a[l] == b[l] ? 1 : 0) << "lane " << l;
+      EXPECT_EQ((gt.bits() >> l) & 1, a[l] > b[l] ? 1 : 0) << "lane " << l;
+      EXPECT_EQ(eq_b.lane(l), a[l] == b[0]) << "lane " << l;
+    }
   }
 }
 

@@ -293,12 +293,6 @@ TEST(Workload, MeshDimsArePowerOfTwo) {
   EXPECT_GT(w.spread_halo_bytes(cfg), 0);
 }
 
-TEST(Workload, CutoffBeyondMinImageRejected) {
-  const System sys = build_water_box(64, 49, -1);
-  auto cfg = tiny_machine(2, 2, 2, 100.0);
-  EXPECT_THROW(Workload::build(sys, cfg), Error);
-}
-
 // `sys` with atom `atom`'s z coordinate replaced by `z`.
 System with_z(const System& sys, int atom, double z) {
   System out = sys;
@@ -437,7 +431,9 @@ const DigestSystems& digest_systems() {
 // The Workload.GoldenDigest cases.  The rc 12 cases' grid has under 3 cells
 // per axis and runs the all-pairs fallback; the unwrapped ones give the
 // positions as AntonMachine::run() does and must map exactly as the
-// wrapped ones.
+// wrapped ones.  On 8^3 nodes the solvated system's 3.9 Å home boxes sit
+// under ~10 Å cells, so one hit word reaches up to 24 remote nodes, where
+// DHFR/512 reaches at most 8.
 std::vector<DigestCase> golden_cases() {
   const DigestSystems& s = digest_systems();
   return {
@@ -445,6 +441,7 @@ std::vector<DigestCase> golden_cases() {
       {"solvated 3^3 rc 9", &s.solvated, 3, 3, 3, 9.0, 0x95E972BCE57DCACCULL},
       {"dhfr 4^3 rc 9", &s.dhfr, 4, 4, 4, 9.0, 0x649892FB692B6059ULL},
       {"dhfr 8^3 rc 9", &s.dhfr, 8, 8, 8, 9.0, 0x7A68E498BAC2F2FBULL},
+      {"solvated 8^3 rc 9", &s.solvated, 8, 8, 8, 9.0, 0x934AACDF4B80647EULL},
       {"solvated 3^3 rc 12", &s.solvated, 3, 3, 3, 12.0, 0x9B223FF76DB45322ULL},
       {"unwrapped 3^3 rc 9", &s.unwrapped, 3, 3, 3, 9.0, 0x95E972BCE57DCACCULL},
       {"unwrapped 3^3 rc 12", &s.unwrapped, 3, 3, 3, 12.0,
