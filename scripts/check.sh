@@ -110,20 +110,20 @@ ctest --test-dir build --output-on-failure -j"$JOBS" \
   -R 'DesNoAlloc|SweepRunner|EventQueue|TaskGraph|Timestep'
 
 # The thread pool, sweep runner, flight recorder, threaded MD kernels, the
-# threaded pair pass of Workload::build, the threaded neighbour-list build
-# and the constraint groups split across the pool make concurrency claims
-# that are only as good as their TSan run, so they get a targeted
-# thread-sanitizer pass even though full-tree TSan stays opt-in via
-# ANTON_CHECK_SANITIZERS.
+# threaded binning of the pair pass, the threaded pair count of
+# Workload::build, the threaded neighbour-list build and the constraint
+# groups split across the pool make concurrency claims that are only as
+# good as their TSan run, so they get a targeted thread-sanitizer pass even
+# though full-tree TSan stays opt-in via ANTON_CHECK_SANITIZERS.
 step "targeted TSan pass (build-thread/, threaded suites only)"
 cmake -B build-thread -S . -DANTON_SANITIZE=thread -DANTON_SIMD=scalar \
       >/dev/null
 cmake --build build-thread -j"$JOBS" --target test_threadpool test_sweep \
-  test_flightrecorder test_md_threaded test_determinism test_workload \
-  test_md_nonbonded test_md_constraints
+  test_flightrecorder test_md_threaded test_determinism test_geom \
+  test_workload test_md_nonbonded test_md_constraints
 ctest --test-dir build-thread --output-on-failure -j"$JOBS" \
   -L sanitize-thread \
-  -R 'ThreadPool|SweepRunner|FlightRecorder|Threaded|Determinism|Workload|NeighborList|Shake|Rattle|Constraint'
+  -R 'ThreadPool|SweepRunner|FlightRecorder|Threaded|Determinism|PairPass|Workload|NeighborList|Shake|Rattle|Constraint'
 
 step "bench smoke (BENCH_f6.json, BENCH_f8.json) and the SIMD floor"
 cmake --build build --target bench-smoke -j"$JOBS"

@@ -1,13 +1,15 @@
 #include "core/workload.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <exception>
+#include <initializer_list>
+#include <span>
 
 #include "common/error.h"
-#include "common/simd.h"
 #include "common/threadpool.h"
 #include "fft/fft.h"
 #include "geom/pair_pass.h"
@@ -129,7 +131,15 @@ struct TileCount {
   int64_t remote_atoms = 0;
 };
 
-// One range of home layers [z0, z1) of the pair walk, with counters of its
+// One thread's pair counters.  The totals are integer sums over the
+// threads, so any schedule of the ranges gives the same ones.
+struct ThreadCount {
+  std::vector<TileCount> tiles;
+  std::vector<int64_t> internal;
+  std::exception_ptr error;
+};
+
+// One range of home layers [z0, z1) of the pair walk, with stamps of its
 // own.  remote_atoms grows whenever the tile that last counted a remote
 // atom changes (Tile::remote_atoms).  A range starts every atom unstamped,
 // so besides each atom's last tile it records, for the atoms an earlier
@@ -143,11 +153,8 @@ struct RangeCount {
   // layer, which the range before it also touches, and [high, size) is
   // layer 0, which the last range touches (wrapping) after range 0 did.
   int low = 0, high = 0;
-  std::vector<TileCount> tiles;
-  std::vector<int64_t> internal;
   std::vector<int> last;   // window offset -> last tile counting it, or -1
   std::vector<int> first;  // record -> first tile counting it, or -1
-  std::exception_ptr error;
 
   int offset(int slot, int n) const {
     const int i = slot - window.begin;
@@ -158,36 +165,24 @@ struct RangeCount {
   }
 };
 
-// Bit k is set where p[k] == v (kEqual) or p[k] > v, for k in [0, 64).
-template <bool kEqual>
-uint64_t word_bits(const int* p, int v) {
-  const simd::VecI8 b = simd::VecI8::broadcast(v);
-  uint64_t bits = 0;
-  for (int q = 0; q < PairPass::kWord; q += simd::kLanesF) {
-    const simd::VecI8 x = simd::VecI8::loadu(p + q);
-    const simd::MaskF m = kEqual ? cmp_eq(x, b) : cmp_gt(x, b);
-    bits |= static_cast<uint64_t>(m.bits()) << q;
-  }
-  return bits;
-}
-
-// Counts one range's pairs a hit word at a time.  Internal pairs are a
-// popcount; the other hits are grouped by node, one tile lookup per group.
-// The run count of Tile::remote_atoms is the serial walk's: a word's hits
-// whose remote atom is t touch distinct stamps, so their order within the
-// word does not matter, while those whose remote atom is s all share s's
-// stamp and replay in slot order when they name several tiles.
+// Counts one range's pairs a hit word at a time into one thread's
+// counters.  Internal pairs are a popcount; the other hits are grouped by
+// node, one tile lookup per group.  The run count of Tile::remote_atoms is
+// the serial walk's: a word's hits whose remote atom is t touch distinct
+// stamps, so their order within the word does not matter, while those
+// whose remote atom is s all share s's stamp and replay in slot order when
+// they name several tiles.
 class WordCount {
  public:
   WordCount(const PairPass& pass, const int* node, const TileIndex& index,
-            RangeCount& r)
+            ThreadCount& c, RangeCount& r)
       : n_(pass.num_atoms()),
         atoms_(pass.slot_atoms()),
         node_(node),
         index_(index),
         r_(r),
-        tiles_(r.tiles.data()),
-        internal_(r.internal.data()),
+        tiles_(c.tiles.data()),
+        internal_(c.internal.data()),
         last_(r.last.data()),
         first_(r.first.data()) {}
 
@@ -270,7 +265,7 @@ class WordCount {
   const int* atoms_;
   const int* node_;
   const TileIndex& index_;
-  RangeCount& r_;
+  const RangeCount& r_;
   TileCount* tiles_;
   int64_t* internal_;
   int* last_;
@@ -278,9 +273,22 @@ class WordCount {
 };
 
 void count_range(const PairPass& pass, const int* node,
-                 const TileIndex& index, RangeCount& r) {
+                 const TileIndex& index, ThreadCount& c, RangeCount& r) {
   ANTON_HOT_NOALLOC();
-  pass.for_each_word(r.z0, r.z1, WordCount(pass, node, index, r));
+  pass.for_each_word(r.z0, r.z1, WordCount(pass, node, index, c, r));
+}
+
+// Counts the ranges a thread takes, one ticket at a time, into its
+// counters.
+void count_tickets(const PairPass& pass, const int* node,
+                   const TileIndex& index, std::span<RangeCount> ranges,
+                   std::atomic<size_t>& next, ThreadCount& c) {
+  ANTON_HOT_NOALLOC();
+  for (;;) {
+    const size_t k = next.fetch_add(1, std::memory_order_relaxed);
+    if (k >= ranges.size()) return;
+    count_range(pass, node, index, c, ranges[k]);
+  }
 }
 
 // The serial walk counts an atom's first stamp in `cur` as a new run only
@@ -288,12 +296,30 @@ void count_range(const PairPass& pass, const int* node,
 // [s0, s1), `prev` is the only earlier range that can touch them, so that
 // stamp is prev's final one, or none if prev did not touch the atom.
 void stitch(const RangeCount& prev, const RangeCount& cur, int s0, int s1,
-            int n, std::vector<TileCount>& tiles) {
+            int n, TileCount* tiles) {
   for (int s = s0; s < s1; ++s) {
     const int f = cur.first[static_cast<size_t>(cur.record(cur.offset(s, n)))];
     if (f >= 0 && prev.last[static_cast<size_t>(prev.offset(s, n))] == f) {
-      tiles[static_cast<size_t>(f)].remote_atoms--;
+      tiles[f].remote_atoms--;
     }
+  }
+}
+
+// Stitches the seams a thread takes, one ticket at a time, into its
+// counters.  With one range per layer, layer k is a seam of every range
+// pair: range k's first layer and range k - 1's last, and layer 0 range
+// 0's first and the last range's wrap.
+void stitch_tickets(const PairPass& pass, std::span<const RangeCount> ranges,
+                    std::atomic<size_t>& next, ThreadCount& c) {
+  ANTON_HOT_NOALLOC();
+  const size_t m = ranges.size();
+  for (;;) {
+    const size_t k = next.fetch_add(1, std::memory_order_relaxed);
+    if (k >= m) return;
+    const int z = static_cast<int>(k);
+    stitch(ranges[k == 0 ? 0 : k - 1], ranges[k == 0 ? m - 1 : k],
+           pass.layer_start(z), pass.layer_start(z + 1), pass.num_atoms(),
+           c.tiles.data());
   }
 }
 
@@ -302,66 +328,142 @@ struct PairCounts {
   std::vector<int64_t> internal;
 };
 
-// Counts every pair into its node's internal pairs or its tile, one range
-// of layers per thread, and merges the ranges into exactly the serial
-// walk's counts.
+// Counts every pair into its node's internal pairs or its tile, and
+// merges the counts into exactly the serial walk's.  On a pool of one
+// thread the walk is one range; on a larger pool it is one range per
+// layer, which the threads take by ticket.
 PairCounts count_pairs(const PairPass& pass, const int* node,
                        const TileIndex& index, int nodes, ThreadPool& pool) {
-  const int n = pass.num_atoms();
-  std::vector<int> bounds;
-  pass.split(static_cast<int>(pool.size()), bounds);
-  const size_t m = bounds.size() - 1;
+  const int layers = pass.num_layers();
+  const size_t m = pool.size() == 1 ? 1 : static_cast<size_t>(layers);
   // Every buffer is allocated here, on the calling thread; the workers
   // allocate nothing.
   std::vector<RangeCount> ranges(m);
   for (size_t k = 0; k < m; ++k) {
     RangeCount& r = ranges[k];
-    r.z0 = bounds[k];
-    r.z1 = bounds[k + 1];
+    r.z0 = m == 1 ? 0 : static_cast<int>(k);
+    r.z1 = m == 1 ? layers : r.z0 + 1;
     r.window = pass.reach(r.z0, r.z1);
     const int size = r.window.end - r.window.begin;
     r.low = k > 0 ? pass.layer_start(r.z0 + 1) - pass.layer_start(r.z0) : 0;
     r.high = k > 0 && k == m - 1 ? size - pass.layer_start(1) : size;
-    r.tiles.resize(static_cast<size_t>(nodes) * index.size());
-    r.internal.assign(static_cast<size_t>(nodes), 0);
     r.last.assign(static_cast<size_t>(size), -1);
     r.first.assign(static_cast<size_t>(r.low + size - r.high), -1);
   }
+  std::vector<ThreadCount> threads(std::min<size_t>(pool.size(), m));
+  for (ThreadCount& c : threads) {
+    c.tiles.resize(static_cast<size_t>(nodes) * index.size());
+    c.internal.assign(static_cast<size_t>(nodes), 0);
+  }
   if (m == 1) {
-    count_range(pass, node, index, ranges[0]);
+    count_range(pass, node, index, threads[0], ranges[0]);
   } else {
+    std::atomic<size_t> next{0};
     pool.for_each_thread([&](unsigned t) {
-      if (t >= m) return;
+      if (t >= threads.size()) return;
       try {
-        count_range(pass, node, index, ranges[t]);
+        count_tickets(pass, node, index, ranges, next, threads[t]);
       } catch (...) {
-        ranges[t].error = std::current_exception();
+        threads[t].error = std::current_exception();
       }
     });
-    for (const RangeCount& r : ranges) {
-      if (r.error) std::rethrow_exception(r.error);
+    for (const ThreadCount& c : threads) {
+      if (c.error) std::rethrow_exception(c.error);
     }
+    next = 0;
+    pool.for_each_thread([&](unsigned t) {
+      if (t < threads.size()) stitch_tickets(pass, ranges, next, threads[t]);
+    });
   }
-  RangeCount& total = ranges[0];
-  for (size_t k = 1; k < m; ++k) {
+  ThreadCount& total = threads[0];
+  for (size_t t = 1; t < threads.size(); ++t) {
     for (size_t i = 0; i < total.tiles.size(); ++i) {
-      total.tiles[i].pairs += ranges[k].tiles[i].pairs;
-      total.tiles[i].remote_atoms += ranges[k].tiles[i].remote_atoms;
+      total.tiles[i].pairs += threads[t].tiles[i].pairs;
+      total.tiles[i].remote_atoms += threads[t].tiles[i].remote_atoms;
     }
     for (size_t v = 0; v < total.internal.size(); ++v) {
-      total.internal[v] += ranges[k].internal[v];
+      total.internal[v] += threads[t].internal[v];
     }
   }
-  // Range k's first layer is the layer after range k - 1's last one.
-  for (size_t k = 1; k < m; ++k) {
-    stitch(ranges[k - 1], ranges[k], pass.layer_start(ranges[k].z0),
-           pass.layer_start(ranges[k].z0 + 1), n, total.tiles);
-  }
-  // Layer 0 is range 0's first layer and the last range's wrap.
-  if (m > 1) {
-    stitch(ranges[0], ranges[m - 1], 0, pass.layer_start(1), n, total.tiles);
-  }
   return {std::move(total.tiles), std::move(total.internal)};
+}
+
+// The first of thread t's share of `size` items, among T threads.
+size_t chunk_begin(size_t size, unsigned t, unsigned T) {
+  return size * t / T;
+}
+
+// Thread t's share of `items`.
+template <class Item>
+std::span<const Item> chunk_of(std::span<const Item> items, unsigned t,
+                               unsigned T) {
+  const size_t b = chunk_begin(items.size(), t, T);
+  return items.subspan(b, chunk_begin(items.size(), t + 1, T) - b);
+}
+
+// Assigns thread t's share of the atoms to nodes, counting them into
+// `counts` (indexed by node).
+void assign_atoms(const DomainDecomp& dd, std::span<const Vec3> pos,
+                  unsigned t, unsigned T, int* owner, NodeWork* counts) {
+  ANTON_HOT_NOALLOC();
+  const size_t end = chunk_begin(pos.size(), t + 1, T);
+  for (size_t i = chunk_begin(pos.size(), t, T); i < end; ++i) {
+    owner[i] = dd.node_of(pos[i]);
+    counts[owner[i]].atoms++;
+  }
+}
+
+// Fills thread t's share of the slot -> node array.
+void fill_slot_nodes(const PairPass& pass, const int* owner, unsigned t,
+                     unsigned T, int* node) {
+  ANTON_HOT_NOALLOC();
+  const auto n = static_cast<size_t>(pass.num_atoms());
+  const size_t end = chunk_begin(n, t + 1, T);
+  for (size_t s = chunk_begin(n, t, T); s < end; ++s) {
+    node[s] = owner[pass.atom(static_cast<int>(s))];
+  }
+}
+
+// Counts thread t's share of the bonded terms (owner = node of first atom)
+// into `counts`.
+void tally_bonded(const Topology& top, const int* owner, unsigned t,
+                  unsigned T, NodeWork* counts) {
+  ANTON_HOT_NOALLOC();
+  auto all_local = [&](std::initializer_list<int> atoms) {
+    const int o = owner[*atoms.begin()];
+    for (int a : atoms) {
+      if (owner[a] != o) return false;
+    }
+    return true;
+  };
+  for (const auto& b : chunk_of(top.bonds(), t, T)) {
+    NodeWork& nd = counts[owner[b.i]];
+    (all_local({b.i, b.j}) ? nd.bonded_local : nd.bonded_boundary).bonds++;
+  }
+  for (const auto& a : chunk_of(top.angles(), t, T)) {
+    NodeWork& nd = counts[owner[a.i]];
+    (all_local({a.i, a.j, a.k}) ? nd.bonded_local : nd.bonded_boundary)
+        .angles++;
+  }
+  for (const auto& d : chunk_of(top.dihedrals(), t, T)) {
+    NodeWork& nd = counts[owner[d.i]];
+    (all_local({d.i, d.j, d.k, d.l}) ? nd.bonded_local : nd.bonded_boundary)
+        .dihedrals++;
+  }
+  for (const auto& p : chunk_of(top.pairs14(), t, T)) {
+    NodeWork& nd = counts[owner[p.i]];
+    (all_local({p.i, p.j}) ? nd.bonded_local : nd.bonded_boundary).pairs14++;
+  }
+  for (const auto& c : chunk_of(top.constraints(), t, T)) {
+    counts[owner[c.i]].constraints++;
+  }
+}
+
+void add(BondedCounts& to, const BondedCounts& from) {
+  to.bonds += from.bonds;
+  to.angles += from.angles;
+  to.dihedrals += from.dihedrals;
+  to.pairs14 += from.pairs14;
 }
 
 }  // namespace
@@ -391,27 +493,47 @@ Workload Workload::build(const System& system,
   const double rc = config.machine_cutoff;
   // Rejects a cutoff beyond the minimum-image limit, an empty system and
   // non-finite positions before anything bins.
-  const PairPass pass(box, pos, rc);
+  const PairPass pass(box, pos, rc, &pool);
 
-  // --- per-atom node assignment -------------------------------------------
+  // --- node assignment, slot -> node array, bonded tallies ----------------
+  // Thread t counts into the nodes themselves (t = 0) or into its own
+  // copies, whose counts are added to the nodes' afterwards.
+  const unsigned T = pool.size();
+  std::vector<NodeWork> copies(static_cast<size_t>(T - 1) * P);
+  auto counts = [&](unsigned t) {
+    return t == 0 ? w.nodes_.data()
+                  : copies.data() + static_cast<size_t>(t - 1) * P;
+  };
   std::vector<int> owner(pos.size());
-  for (size_t i = 0; i < pos.size(); ++i) {
-    owner[i] = dd.node_of(pos[i]);
-    w.nodes_[static_cast<size_t>(owner[i])].atoms++;
+  // Node of each slot's atom, read in the pass's walk order, padded as
+  // PairPass::slot_atoms() is so that a word's 64 slots can be loaded.
+  std::vector<int> node(pos.size() + PairPass::kWord - 1, -1);
+  pool.for_each_thread([&](unsigned t) {
+    assign_atoms(dd, pos, t, T, owner.data(), counts(t));
+  });
+  const Topology& top = system.topology();
+  pool.for_each_thread([&](unsigned t) {
+    fill_slot_nodes(pass, owner.data(), t, T, node.data());
+    tally_bonded(top, owner.data(), t, T, counts(t));
+  });
+  for (unsigned t = 1; t < T; ++t) {
+    for (int v = 0; v < P; ++v) {
+      NodeWork& to = w.nodes_[static_cast<size_t>(v)];
+      const NodeWork& from = counts(t)[v];
+      to.atoms += from.atoms;
+      add(to.bonded_local, from.bonded_local);
+      add(to.bonded_boundary, from.bonded_boundary);
+      to.constraints += from.constraints;
+    }
   }
 
   // --- exact pair counting with half-shell tile assignment ----------------
   const TileIndex index(dd, rc);
   const int K = index.size();
-  // Node of each slot's atom, read in the pass's walk order, padded as
-  // PairPass::slot_atoms() is so that a word's 64 slots can be loaded.
-  std::vector<int> node(pos.size() + PairPass::kWord - 1, -1);
-  for (size_t s = 0; s < pos.size(); ++s) {
-    node[s] = owner[static_cast<size_t>(pass.atom(static_cast<int>(s)))];
-  }
-  const PairCounts counts = count_pairs(pass, node.data(), index, P, pool);
-  const std::vector<TileCount>& tiles = counts.tiles;
-  const std::vector<int64_t>& internal = counts.internal;
+  const PairCounts pair_counts =
+      count_pairs(pass, node.data(), index, P, pool);
+  const std::vector<TileCount>& tiles = pair_counts.tiles;
+  const std::vector<int64_t>& internal = pair_counts.internal;
 
   // Canonical offset table (first use, nodes ascending) + per-node tiles.
   std::vector<int> offset_index(static_cast<size_t>(K), -1);
@@ -441,38 +563,6 @@ Workload Workload::build(const System& system,
       auto& dests = w.nodes_[static_cast<size_t>(v)].pos_destinations;
       if (v != u && (dests.empty() || dests.back() != u)) dests.push_back(u);
     }
-  }
-
-  // --- bonded terms (owner = node of first atom) --------------------------
-  const Topology& top = system.topology();
-  auto all_local = [&](std::initializer_list<int> atoms) {
-    const int o = owner[static_cast<size_t>(*atoms.begin())];
-    for (int a : atoms) {
-      if (owner[static_cast<size_t>(a)] != o) return false;
-    }
-    return true;
-  };
-  for (const auto& b : top.bonds()) {
-    auto& nd = w.nodes_[static_cast<size_t>(owner[static_cast<size_t>(b.i)])];
-    (all_local({b.i, b.j}) ? nd.bonded_local : nd.bonded_boundary).bonds++;
-  }
-  for (const auto& a : top.angles()) {
-    auto& nd = w.nodes_[static_cast<size_t>(owner[static_cast<size_t>(a.i)])];
-    (all_local({a.i, a.j, a.k}) ? nd.bonded_local : nd.bonded_boundary)
-        .angles++;
-  }
-  for (const auto& d : top.dihedrals()) {
-    auto& nd = w.nodes_[static_cast<size_t>(owner[static_cast<size_t>(d.i)])];
-    (all_local({d.i, d.j, d.k, d.l}) ? nd.bonded_local : nd.bonded_boundary)
-        .dihedrals++;
-  }
-  for (const auto& p : top.pairs14()) {
-    auto& nd = w.nodes_[static_cast<size_t>(owner[static_cast<size_t>(p.i)])];
-    (all_local({p.i, p.j}) ? nd.bonded_local : nd.bonded_boundary).pairs14++;
-  }
-  for (const auto& c : top.constraints()) {
-    w.nodes_[static_cast<size_t>(owner[static_cast<size_t>(c.i)])]
-        .constraints++;
   }
 
   // --- mesh geometry -------------------------------------------------------

@@ -69,15 +69,16 @@ class Workload {
  public:
   // Decomposes `system` onto the torus in `config` using the machine
   // cutoff and mesh spacing.  The node grid is config.noc dimensions.
-  // The pair pass runs on a pool of hardware_concurrency() threads made
-  // for the call, or serially when the calling thread is running a
-  // ThreadPool chunk, such as a SweepRunner point.  Rejects an empty
-  // system and a non-finite position with anton::Error.
+  // The build runs on a pool of hardware_concurrency() threads made for
+  // the call, or serially when the calling thread is running a ThreadPool
+  // chunk, such as a SweepRunner point.  Rejects an empty system and a
+  // non-finite position with anton::Error.
   static Workload build(const System& system,
                         const arch::MachineConfig& config);
-  // The same on a borrowed pool: the pair pass splits into at most
-  // pool.size() ranges of z-layers.  Every field is identical for every
-  // pool size.
+  // The same on a borrowed pool, which runs every phase: binning, node
+  // assignment, bonded tallies and the pair count, which on more than one
+  // thread takes one range of z-layers per ticket.  Every field is
+  // identical for every pool size.
   static Workload build(const System& system,
                         const arch::MachineConfig& config, ThreadPool& pool);
 

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -45,18 +46,29 @@
 
 namespace anton {
 
+class ThreadPool;  // common/threadpool.h
+
 class PairPass {
  public:
   // Bins `positions` (wrapped or unwrapped) for radius `rc`; see rebin().
-  PairPass(const Box& box, std::span<const Vec3> positions, double rc);
+  PairPass(const Box& box, std::span<const Vec3> positions, double rc,
+           ThreadPool* pool = nullptr);
 
   // Bins `positions` for `box` at the constructor's radius, which must not
-  // exceed box.max_cutoff().  Before any binning it rejects, with
+  // exceed box.max_cutoff().  Before any atom is placed it rejects, with
   // anton::Error, an empty system and a non-finite position (naming the
-  // atom).  The pass copies what it needs, so `positions` may change or go
-  // afterwards.  Storage is reused: with the atom count and cell grid of
-  // the previous binning, a rebin allocates nothing.
-  void rebin(const Box& box, std::span<const Vec3> positions);
+  // lowest such atom), and leaves the pass empty.  The pass copies what it
+  // needs, so `positions` may change or go afterwards.  With a pool and at
+  // least kThreadedAtoms atoms on the cell walk, the binning runs in one
+  // contiguous chunk of atoms per thread and gives the same slots as the
+  // serial binning.  Storage is reused: with the atom count, cell grid and
+  // chunk count of the previous binning, a rebin allocates nothing.
+  void rebin(const Box& box, std::span<const Vec3> positions,
+             ThreadPool* pool = nullptr);
+
+  // The atom count from which a binning with a pool is threaded: below it
+  // the dispatches cost more than the binning saves.
+  static constexpr int kThreadedAtoms = 1 << 16;
 
   // The filter's band: a candidate whose float r^2 lies within a relative
   // kBand of rc^2 is re-decided by the exact double test.
@@ -132,6 +144,24 @@ class PairPass {
     float hi[3];
   };
 
+  // The binning's phases, each over chunk t of `chunks`: atoms
+  // [n t / chunks, n (t + 1) / chunks) for the first two, an atom-balanced
+  // run of cells for the third.  count_chunk checks each position and
+  // counts the chunk's atoms per cell into its cursors; at a bad position
+  // it lowers `bad` to that atom and stops.  scatter_chunk places the
+  // chunk's atoms at its cursors.  bound_chunk takes its cells' bounds.
+  void count_chunk(std::span<const Vec3> positions, int t, int chunks,
+                   std::atomic<int>& bad);
+  void scatter_chunk(std::span<const Vec3> positions, int t, int chunks);
+  void bound_chunk(int t, int chunks);
+  // Chunk t's count, then scatter cursor, per cell: cell_start_ itself for
+  // chunk 0, so that a serial binning needs no other scratch.
+  int* chunk_cursors(int t) {
+    return t == 0 ? cell_start_.data()
+                  : cursors_.data() +
+                        static_cast<size_t>(t - 1) * grid_.num_cells();
+  }
+
   // The origin of the frame of `cell`, a neighbour of cell c reached with
   // image `shift`, minus c's: d * h per axis with d in {-1, 0, 1}, in float.
   void frame_offset(int c, int cell, const Vec3& shift, float off[3]) const;
@@ -157,6 +187,8 @@ class PairPass {
   bool all_pairs_ = false;  // under 3 cells along some axis
   int cells_per_layer_ = 1;  // nx * ny; 1 on the fallback
   std::vector<int> cell_start_;  // cell -> first slot, plus num_atoms()
+  // The cursors of chunks 1 .. chunks - 1 of a threaded binning.
+  std::vector<int> cursors_;
   // slot -> atom, padded with kWord - 1 zeros (slot_atoms()).
   std::vector<int> atoms_;
   // Positions by slot, wrapped on the cell walk and as given on the
@@ -169,6 +201,21 @@ class PairPass {
   std::vector<float> fx_, fy_, fz_;
   std::vector<Bounds> bounds_;
 };
+
+// Bit k is set where p[k] == v (kEqual) or p[k] > v, for k in
+// [0, PairPass::kWord): a mask over the slots of a hit word, read from a
+// per-slot array padded as slot_atoms() is.
+template <bool kEqual>
+uint64_t word_bits(const int* p, int v) {
+  const simd::VecI8 b = simd::VecI8::broadcast(v);
+  uint64_t bits = 0;
+  for (int q = 0; q < PairPass::kWord; q += simd::kLanesF) {
+    const simd::VecI8 x = simd::VecI8::loadu(p + q);
+    const simd::MaskF m = kEqual ? cmp_eq(x, b) : cmp_gt(x, b);
+    bits |= static_cast<uint64_t>(m.bits()) << q;
+  }
+  return bits;
+}
 
 template <class G>
 void PairPass::for_each_word(int z0, int z1, G&& g) const {

@@ -3,19 +3,25 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "geom/box.h"
 #include "geom/cells.h"
 #include "geom/decomp.h"
 #include "geom/pair_pass.h"
+#include "test_support.h"
 
 namespace anton {
 namespace {
+
+using test_support::expect_error;
 
 TEST(Box, WrapIntoPrimaryCell) {
   const Box box({10, 20, 30});
@@ -263,6 +269,66 @@ TEST(PairPass, DenseCloudMatchesBruteForce) {
     few.push_back(rng.uniform_in_box(small.lengths()));
   }
   expect_brute_force_pairs(small, few, rc, "all-pairs fallback");
+}
+
+// Everything a binning determines that the walks read: the slot order,
+// the layers and the hit words in walk order.
+struct Binning {
+  std::vector<int> slot_atoms;
+  std::vector<int> layer_starts;
+  std::vector<std::tuple<int, int, uint64_t>> words;
+
+  explicit Binning(const PairPass& pass)
+      : slot_atoms(pass.slot_atoms(),
+                   pass.slot_atoms() + pass.num_atoms() + PairPass::kWord - 1) {
+    for (int z = 0; z <= pass.num_layers(); ++z) {
+      layer_starts.push_back(pass.layer_start(z));
+    }
+    pass.for_each_word(0, pass.num_layers(),
+                       [&](int s, int t0, uint64_t word) {
+                         words.emplace_back(s, t0, word);
+                       });
+  }
+  bool operator==(const Binning&) const = default;
+};
+
+TEST(PairPass, BinningIndependentOfThreadCount) {
+  // Just above the threaded binning's size, so that it runs on every pool
+  // of more than one thread: atoms in the lower 60% of the box only, so
+  // the upper layers' cells are empty, and a third of them given one box
+  // length out of place.
+  const Box box({80, 80, 60});
+  const int n = PairPass::kThreadedAtoms + 500;
+  Rng rng(9, 0);
+  std::vector<Vec3> pos;
+  for (int i = 0; i < n; ++i) {
+    Vec3 p = rng.uniform_in_box(box.lengths());
+    p.z *= 0.6;
+    if (i % 3 == 1) p = p + box.lengths() * (i % 2 == 0 ? 1.0 : -1.0);
+    pos.push_back(p);
+  }
+  const double rc = 3.0;
+  const Binning serial{PairPass(box, pos, rc)};
+  EXPECT_GT(serial.words.size(), 100'000u);
+  // A NaN at atom k and a +Inf in a later chunk: the message names k, as
+  // the serial check does.  A rebin that raises leaves the pass empty, and
+  // the next rebin bins as a fresh pass does.
+  std::vector<Vec3> bad = pos;
+  const int k = 1000;
+  bad[k].y = std::nan("");
+  bad[static_cast<size_t>(n - 10)].x = std::numeric_limits<double>::infinity();
+  for (unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+    ThreadPool pool(threads);
+    const std::string what = std::to_string(threads) + " threads";
+    PairPass pass(box, pos, rc, &pool);
+    EXPECT_TRUE(Binning(pass) == serial) << what;
+    expect_error([&] { pass.rebin(box, bad, &pool); },
+                 "atom " + std::to_string(k) + " has a non-finite", what);
+    EXPECT_EQ(pass.num_atoms(), 0) << what;
+    EXPECT_EQ(pass.num_layers(), 0) << what;
+    pass.rebin(box, pos, &pool);
+    EXPECT_TRUE(Binning(pass) == serial) << what << ", after the failure";
+  }
 }
 
 TEST(DomainDecomp, RanksAndCoordsRoundTrip) {

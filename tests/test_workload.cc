@@ -400,7 +400,7 @@ struct DigestCase {
 
 // The systems of the digest cases, built once.
 struct DigestSystems {
-  System solvated, dhfr, unwrapped, one_atom, slab;
+  System solvated, dhfr, apoa1, unwrapped, one_atom, slab;
 };
 
 const DigestSystems& digest_systems() {
@@ -422,6 +422,7 @@ const DigestSystems& digest_systems() {
     for (Vec3& p : slab.positions()) p.z *= 0.4;
     return DigestSystems{std::move(solvated),
                          build_benchmark_system(dhfr_spec(), 2014),
+                         build_benchmark_system(apoa1_spec(), 2014),
                          std::move(unwrapped), std::move(one_atom),
                          std::move(slab)};
   }();
@@ -433,7 +434,9 @@ const DigestSystems& digest_systems() {
 // positions as AntonMachine::run() does and must map exactly as the
 // wrapped ones.  On 8^3 nodes the solvated system's 3.9 Å home boxes sit
 // under ~10 Å cells, so one hit word reaches up to 24 remote nodes, where
-// DHFR/512 reaches at most 8.
+// DHFR/512 reaches at most 8.  The ApoA1-class system (92,224 atoms) is
+// above PairPass::kThreadedAtoms, so a pooled build bins it threaded, and
+// its 10 layers outnumber the threads of most pools.
 std::vector<DigestCase> golden_cases() {
   const DigestSystems& s = digest_systems();
   return {
@@ -441,6 +444,7 @@ std::vector<DigestCase> golden_cases() {
       {"solvated 3^3 rc 9", &s.solvated, 3, 3, 3, 9.0, 0x95E972BCE57DCACCULL},
       {"dhfr 4^3 rc 9", &s.dhfr, 4, 4, 4, 9.0, 0x649892FB692B6059ULL},
       {"dhfr 8^3 rc 9", &s.dhfr, 8, 8, 8, 9.0, 0x7A68E498BAC2F2FBULL},
+      {"apoa1 8^3 rc 9", &s.apoa1, 8, 8, 8, 9.0, 0x465E731D0A4E1127ULL},
       {"solvated 8^3 rc 9", &s.solvated, 8, 8, 8, 9.0, 0x934AACDF4B80647EULL},
       {"solvated 3^3 rc 12", &s.solvated, 3, 3, 3, 12.0, 0x9B223FF76DB45322ULL},
       {"unwrapped 3^3 rc 9", &s.unwrapped, 3, 3, 3, 9.0, 0x95E972BCE57DCACCULL},
@@ -461,10 +465,11 @@ TEST(Workload, GoldenDigest) {
 }
 
 TEST(Workload, DigestIndependentOfThreadCount) {
-  // The pair pass splits into one range of z-layers per thread and stitches
-  // remote_atoms at the seams; every pool size must give the serial
-  // build's fields bit for bit.  Beyond the golden cases: a single atom, a
-  // single node, and a 1x1x7 torus over a slab with empty layers.
+  // On a pool of more than one thread the pair pass splits into one range
+  // per z-layer, taken by ticket, and stitches remote_atoms at every seam;
+  // every pool size must give the serial build's fields bit for bit.
+  // Beyond the golden cases: a single atom, a single node, and a 1x1x7
+  // torus over a slab with empty layers.
   const DigestSystems& s = digest_systems();
   std::vector<DigestCase> cases = golden_cases();
   cases.push_back({"one atom 2^3 rc 6", &s.one_atom, 2, 2, 2, 6.0, 0});
