@@ -78,6 +78,14 @@ class ThreadPool {
     });
   }
 
+  // The first of chunk t's items when n items split into `chunks`
+  // contiguous chunks of near-equal size: n t / chunks.  Chunk t is
+  // [chunk_begin(n, t, chunks), chunk_begin(n, t + 1, chunks)), as a
+  // for_each_thread loop over items takes them with chunks = size().
+  static size_t chunk_begin(size_t n, size_t t, size_t chunks) {
+    return n * t / chunks;
+  }
+
   // Runs fn(thread_index) on every thread (the caller runs index 0); useful
   // for thread-local reduction buffers.
   template <class F>

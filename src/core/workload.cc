@@ -10,6 +10,7 @@
 #include <span>
 
 #include "common/error.h"
+#include "common/simd.h"
 #include "common/threadpool.h"
 #include "fft/fft.h"
 #include "geom/pair_pass.h"
@@ -164,6 +165,19 @@ struct RangeCount {
     return offset < low ? offset : low + (offset - high);
   }
 };
+
+// Bit k is set where p[k] == v (kEqual) or p[k] > v, for k in [0, 64).
+template <bool kEqual>
+uint64_t word_bits(const int* p, int v) {
+  const simd::VecI8 b = simd::VecI8::broadcast(v);
+  uint64_t bits = 0;
+  for (int q = 0; q < PairPass::kWord; q += simd::kLanesF) {
+    const simd::VecI8 x = simd::VecI8::loadu(p + q);
+    const simd::MaskF m = kEqual ? cmp_eq(x, b) : cmp_gt(x, b);
+    bits |= static_cast<uint64_t>(m.bits()) << q;
+  }
+  return bits;
+}
 
 // Counts one range's pairs a hit word at a time into one thread's
 // counters.  Internal pairs are a popcount; the other hits are grouped by
@@ -388,17 +402,12 @@ PairCounts count_pairs(const PairPass& pass, const int* node,
   return {std::move(total.tiles), std::move(total.internal)};
 }
 
-// The first of thread t's share of `size` items, among T threads.
-size_t chunk_begin(size_t size, unsigned t, unsigned T) {
-  return size * t / T;
-}
-
 // Thread t's share of `items`.
 template <class Item>
 std::span<const Item> chunk_of(std::span<const Item> items, unsigned t,
                                unsigned T) {
-  const size_t b = chunk_begin(items.size(), t, T);
-  return items.subspan(b, chunk_begin(items.size(), t + 1, T) - b);
+  const size_t b = ThreadPool::chunk_begin(items.size(), t, T);
+  return items.subspan(b, ThreadPool::chunk_begin(items.size(), t + 1, T) - b);
 }
 
 // Assigns thread t's share of the atoms to nodes, counting them into
@@ -406,8 +415,8 @@ std::span<const Item> chunk_of(std::span<const Item> items, unsigned t,
 void assign_atoms(const DomainDecomp& dd, std::span<const Vec3> pos,
                   unsigned t, unsigned T, int* owner, NodeWork* counts) {
   ANTON_HOT_NOALLOC();
-  const size_t end = chunk_begin(pos.size(), t + 1, T);
-  for (size_t i = chunk_begin(pos.size(), t, T); i < end; ++i) {
+  const size_t end = ThreadPool::chunk_begin(pos.size(), t + 1, T);
+  for (size_t i = ThreadPool::chunk_begin(pos.size(), t, T); i < end; ++i) {
     owner[i] = dd.node_of(pos[i]);
     counts[owner[i]].atoms++;
   }
@@ -418,8 +427,8 @@ void fill_slot_nodes(const PairPass& pass, const int* owner, unsigned t,
                      unsigned T, int* node) {
   ANTON_HOT_NOALLOC();
   const auto n = static_cast<size_t>(pass.num_atoms());
-  const size_t end = chunk_begin(n, t + 1, T);
-  for (size_t s = chunk_begin(n, t, T); s < end; ++s) {
+  const size_t end = ThreadPool::chunk_begin(n, t + 1, T);
+  for (size_t s = ThreadPool::chunk_begin(n, t, T); s < end; ++s) {
     node[s] = owner[pass.atom(static_cast<int>(s))];
   }
 }

@@ -8,13 +8,6 @@
 
 namespace anton {
 
-namespace {
-// The first atom of chunk t of `chunks` over n atoms.
-int chunk_begin(int n, int t, int chunks) {
-  return static_cast<int>(static_cast<int64_t>(n) * t / chunks);
-}
-}  // namespace
-
 PairPass::PairPass(const Box& box, std::span<const Vec3> positions, double rc,
                    ThreadPool* pool)
     : rc_(rc),
@@ -36,9 +29,8 @@ void PairPass::rebin(const Box& box, std::span<const Vec3> positions,
   cells_per_layer_ = all_pairs_ ? 1 : grid_.nx() * grid_.ny();
   const int n = static_cast<int>(positions.size());
   const int cells = all_pairs_ ? 0 : grid_.num_cells();
-  const int chunks = pool != nullptr && !all_pairs_ && n >= kThreadedAtoms
-                         ? static_cast<int>(pool->size())
-                         : 1;
+  const int chunks =
+      pool != nullptr && !all_pairs_ ? static_cast<int>(pool->size()) : 1;
   auto run = [&](auto&& phase) {
     if (chunks == 1) {
       phase(0u);
@@ -122,11 +114,12 @@ void PairPass::count_chunk(std::span<const Vec3> positions, int t, int chunks,
   // lengths of the origin it is exact to ~L 2^-32.  One comparison per axis
   // rejects all three (NaN fails every comparison).
   const Vec3 limit = grid_.box().lengths() * 0x1p20;
-  const int n = static_cast<int>(positions.size());
+  const size_t n = positions.size();
   const Vec3* pos = positions.data();
   int* counts = chunk_cursors(t);
-  const int end = chunk_begin(n, t + 1, chunks);
-  for (int i = chunk_begin(n, t, chunks); i < end; ++i) {
+  const auto end = static_cast<int>(ThreadPool::chunk_begin(n, t + 1, chunks));
+  for (auto i = static_cast<int>(ThreadPool::chunk_begin(n, t, chunks));
+       i < end; ++i) {
     const Vec3& p = pos[i];
     if (!(std::abs(p.x) <= limit.x && std::abs(p.y) <= limit.y &&
           std::abs(p.z) <= limit.z)) {
@@ -147,11 +140,12 @@ void PairPass::scatter_chunk(std::span<const Vec3> positions, int t,
   // A cell's frame has its origin at the cell's lower corner, so the
   // float coordinates lie within about one cell side of 0.
   const Vec3 h = grid_.cell_lengths();
-  const int n = static_cast<int>(positions.size());
+  const size_t n = positions.size();
   const Vec3* pos = positions.data();
   int* cursors = chunk_cursors(t);
-  const int end = chunk_begin(n, t + 1, chunks);
-  for (int i = chunk_begin(n, t, chunks); i < end; ++i) {
+  const auto end = static_cast<int>(ThreadPool::chunk_begin(n, t + 1, chunks));
+  for (auto i = static_cast<int>(ThreadPool::chunk_begin(n, t, chunks));
+       i < end; ++i) {
     const Vec3 w = box.wrap(pos[i]);
     int cx, cy, cz;
     grid_.wrapped_coords(w, &cx, &cy, &cz);
@@ -174,10 +168,10 @@ void PairPass::bound_chunk(int t, int chunks) {
   // of the atoms.
   auto first_cell = [&](int k) {
     if (k == chunks) return cells;
-    return static_cast<int>(
-        std::lower_bound(start, start + cells,
-                         chunk_begin(num_atoms(), k, chunks)) -
-        start);
+    const auto first = static_cast<int>(ThreadPool::chunk_begin(
+        static_cast<size_t>(num_atoms()), k, chunks));
+    return static_cast<int>(std::lower_bound(start, start + cells, first) -
+                            start);
   };
   constexpr float inf = std::numeric_limits<float>::infinity();
   const int c1 = first_cell(t + 1);

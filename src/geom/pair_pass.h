@@ -58,17 +58,13 @@ class PairPass {
   // exceed box.max_cutoff().  Before any atom is placed it rejects, with
   // anton::Error, an empty system and a non-finite position (naming the
   // lowest such atom), and leaves the pass empty.  The pass copies what it
-  // needs, so `positions` may change or go afterwards.  With a pool and at
-  // least kThreadedAtoms atoms on the cell walk, the binning runs in one
-  // contiguous chunk of atoms per thread and gives the same slots as the
-  // serial binning.  Storage is reused: with the atom count, cell grid and
-  // chunk count of the previous binning, a rebin allocates nothing.
+  // needs, so `positions` may change or go afterwards.  With a pool, the
+  // cell walk's binning runs in one contiguous chunk of atoms per thread
+  // and gives the same slots as the serial binning.  Storage is reused:
+  // with the atom count, cell grid and chunk count of the previous
+  // binning, a rebin allocates nothing.
   void rebin(const Box& box, std::span<const Vec3> positions,
              ThreadPool* pool = nullptr);
-
-  // The atom count from which a binning with a pool is threaded: below it
-  // the dispatches cost more than the binning saves.
-  static constexpr int kThreadedAtoms = 1 << 16;
 
   // The filter's band: a candidate whose float r^2 lies within a relative
   // kBand of rc^2 is re-decided by the exact double test.
@@ -201,21 +197,6 @@ class PairPass {
   std::vector<float> fx_, fy_, fz_;
   std::vector<Bounds> bounds_;
 };
-
-// Bit k is set where p[k] == v (kEqual) or p[k] > v, for k in
-// [0, PairPass::kWord): a mask over the slots of a hit word, read from a
-// per-slot array padded as slot_atoms() is.
-template <bool kEqual>
-uint64_t word_bits(const int* p, int v) {
-  const simd::VecI8 b = simd::VecI8::broadcast(v);
-  uint64_t bits = 0;
-  for (int q = 0; q < PairPass::kWord; q += simd::kLanesF) {
-    const simd::VecI8 x = simd::VecI8::loadu(p + q);
-    const simd::MaskF m = kEqual ? cmp_eq(x, b) : cmp_gt(x, b);
-    bits |= static_cast<uint64_t>(m.bits()) << q;
-  }
-  return bits;
-}
 
 template <class G>
 void PairPass::for_each_word(int z0, int z1, G&& g) const {

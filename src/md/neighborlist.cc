@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <utility>
 
@@ -88,40 +87,21 @@ NeighborList::NeighborList(double cutoff, double skin)
 NeighborList::~NeighborList() = default;
 
 // Counts the pairs whose home cell lies in the pass's layers [z0, z1) into
-// their rows (the lower atom index), a hit word at a time: the hits whose
-// lower atom is s's are one popcount, each other hit adds one to its own
-// row.
+// their rows (the lower atom index).
 void NeighborList::count_range(int z0, int z1, int* counts) const {
   ANTON_HOT_NOALLOC();
-  const int* atoms = pass_->slot_atoms();
-  pass_->for_each_word(z0, z1, [&](int s, int t0, uint64_t word) {
-    const int a = atoms[s];
-    const uint64_t up = word & word_bits<false>(atoms + t0, a);
-    counts[a] += std::popcount(up);
-    for (uint64_t down = word & ~up; down != 0; down &= down - 1) {
-      ++counts[atoms[t0 + std::countr_zero(down)]];
-    }
-  });
+  const PairPass& pass = *pass_;
+  pass.for_each(z0, z1, [&](int s, int) { ++counts[pass.atom(s)]; });
 }
 
-// Walks the same words again, in the same order, writing each pair's j at
-// its row's cursor: the hits whose lower atom is s's at s's cursor in bit
-// order, the others one by one.
+// Walks the same pairs again, in the same order, writing each one's j at
+// its row's cursor.
 void NeighborList::fill_range(int z0, int z1, int* cursors) {
   ANTON_HOT_NOALLOC();
-  const int* atoms = pass_->slot_atoms();
+  const PairPass& pass = *pass_;
   int* list = list_.data();
-  pass_->for_each_word(z0, z1, [&](int s, int t0, uint64_t word) {
-    const int a = atoms[s];
-    const uint64_t up = word & word_bits<false>(atoms + t0, a);
-    int* row = list + cursors[a];
-    for (uint64_t bits = up; bits != 0; bits &= bits - 1) {
-      *row++ = atoms[t0 + std::countr_zero(bits)];
-    }
-    cursors[a] += std::popcount(up);
-    for (uint64_t down = word & ~up; down != 0; down &= down - 1) {
-      list[cursors[atoms[t0 + std::countr_zero(down)]]++] = a;
-    }
+  pass.for_each(z0, z1, [&](int s, int t) {
+    list[cursors[pass.atom(s)]++] = pass.atom(t);
   });
 }
 

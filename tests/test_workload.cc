@@ -434,9 +434,8 @@ const DigestSystems& digest_systems() {
 // positions as AntonMachine::run() does and must map exactly as the
 // wrapped ones.  On 8^3 nodes the solvated system's 3.9 Å home boxes sit
 // under ~10 Å cells, so one hit word reaches up to 24 remote nodes, where
-// DHFR/512 reaches at most 8.  The ApoA1-class system (92,224 atoms) is
-// above PairPass::kThreadedAtoms, so a pooled build bins it threaded, and
-// its 10 layers outnumber the threads of most pools.
+// DHFR/512 reaches at most 8.  The ApoA1-class system (92,224 atoms) has
+// 10 layers, more than the threads of most pools.
 std::vector<DigestCase> golden_cases() {
   const DigestSystems& s = digest_systems();
   return {
@@ -465,11 +464,12 @@ TEST(Workload, GoldenDigest) {
 }
 
 TEST(Workload, DigestIndependentOfThreadCount) {
-  // On a pool of more than one thread the pair pass splits into one range
-  // per z-layer, taken by ticket, and stitches remote_atoms at every seam;
-  // every pool size must give the serial build's fields bit for bit.
-  // Beyond the golden cases: a single atom, a single node, and a 1x1x7
-  // torus over a slab with empty layers.
+  // The pass bins in one chunk of atoms per thread; on a pool of more
+  // than one thread the pair count takes one range per z-layer by ticket
+  // and stitches remote_atoms at every seam.  Every pool size must give
+  // the serial build's fields bit for bit.  Beyond the golden cases: a
+  // single atom, a single node, and a 1x1x7 torus over a slab with empty
+  // layers.
   const DigestSystems& s = digest_systems();
   std::vector<DigestCase> cases = golden_cases();
   cases.push_back({"one atom 2^3 rc 6", &s.one_atom, 2, 2, 2, 6.0, 0});
