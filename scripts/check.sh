@@ -76,13 +76,21 @@ cmake --build build-scalar -j"$JOBS"
 step "ctest (scalar backend)"
 ctest --test-dir build-scalar --output-on-failure -j"$JOBS"
 
+# The default 2,187 atoms take the all-pairs fallback at the 10 Å list
+# radius; 4,096 molecules (12,288 atoms, 4 cells per axis) run the cell
+# walk's list, as md_dhfr does.
 step "cross-backend force and trajectory parity (native vs scalar, bitwise)"
-./build/examples/force_hash > "$SCRATCH/force_hash_native.txt"
-./build-scalar/examples/force_hash > "$SCRATCH/force_hash_scalar.txt"
-diff "$SCRATCH/force_hash_native.txt" "$SCRATCH/force_hash_scalar.txt"
+for molecules in 729 4096; do
+  ./build/examples/force_hash molecules="$molecules" \
+    > "$SCRATCH/force_hash_native_$molecules.txt"
+  ./build-scalar/examples/force_hash molecules="$molecules" \
+    > "$SCRATCH/force_hash_scalar_$molecules.txt"
+  diff "$SCRATCH/force_hash_native_$molecules.txt" \
+    "$SCRATCH/force_hash_scalar_$molecules.txt"
+done
 echo "force and trajectory digests byte-identical across SIMD backends:"
 grep -E 'force_digest|position_digest|velocity_digest' \
-  "$SCRATCH/force_hash_native.txt"
+  "$SCRATCH"/force_hash_native_*.txt
 
 # The snapshot must say where host time went (MD phases, machine-model
 # layers) and where simulated time went (DES makespan, critical wait, phase

@@ -5,11 +5,12 @@
 // candidate pairs ahead of the force pipelines.  The machine model walks it
 // at the machine cutoff (Workload::build counts the pairs per node and
 // tile, analyze_decomposition counts the imports each scheme needs), the
-// MD engine at cutoff + skin (md::NeighborList stores the pairs), and the
-// RDF at its range (md::RdfAccumulator histograms them).
+// MD engine at cutoff + skin (md::NeighborList stores the pairs, each row
+// holding one slot's hit words in emission order), and the RDF at its
+// range (md::RdfAccumulator histograms them).
 //
 // The emission order is part of the contract, because Tile::remote_atoms
-// depends on it (see core/workload.h):
+// depends on it (see core/workload.h) and the MD list's layout follows it:
 //
 //   * Cell grids with at least 3 cells (side >= rc) per axis: cells in
 //     ascending index, each cell's neighbours in CellGrid::half_stencil_shifts

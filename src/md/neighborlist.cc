@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <utility>
 
 #include "common/error.h"
 #include "geom/pair_pass.h"
@@ -14,68 +14,15 @@ namespace {
 // Below this, threading a build or a rebuild check costs more than it saves.
 constexpr size_t kSerialThreshold = 2048;
 
-// The 8-bit digits that hold every row key j - i - 1, which is below n.
-int radix_digits(int n) {
-  if (n <= (1 << 8)) return 1;
-  if (n <= (1 << 16)) return 2;
-  if (n <= (1 << 24)) return 3;
-  return 4;
-}
-
-// Sorts row i's len neighbours ascending by an LSD radix sort on the key
-// j - i - 1: one counting pass fills every digit's histogram, then each
-// digit takes an exclusive prefix and a stable scatter, alternating
-// between the row and scratch.  Returns where the sorted row ends up: the
-// row after an even number of digits, scratch after an odd one.
-template <int kDigits>
-const int* radix_sort_row(int* row, int len, int i, int* scratch) {
-  uint32_t counts[kDigits][256] = {};
-  const uint32_t base = static_cast<uint32_t>(i) + 1;
-  for (int k = 0; k < len; ++k) {
-    const uint32_t key = static_cast<uint32_t>(row[k]) - base;
-    for (int d = 0; d < kDigits; ++d) ++counts[d][(key >> (8 * d)) & 0xFF];
+// The bits of slot s's word at t0 whose partner slot s excludes:
+// excl[begin, end) holds those partner slots.
+uint64_t excluded_bits(const int* excl, int begin, int end, int t0) {
+  uint64_t bits = 0;
+  for (int k = begin; k < end; ++k) {
+    const auto d = static_cast<unsigned>(excl[k] - t0);
+    if (d < static_cast<unsigned>(PairPass::kWord)) bits |= uint64_t{1} << d;
   }
-  int* src = row;
-  int* dst = scratch;
-  for (int d = 0; d < kDigits; ++d) {
-    uint32_t sum = 0;
-    for (uint32_t& c : counts[d]) {
-      const uint32_t x = c;
-      c = sum;
-      sum += x;
-    }
-    for (int k = 0; k < len; ++k) {
-      const uint32_t key = static_cast<uint32_t>(src[k]) - base;
-      dst[counts[d][(key >> (8 * d)) & 0xFF]++] = src[k];
-    }
-    std::swap(src, dst);
-  }
-  return src;
-}
-
-// Sorts the CSR rows [b, e) and drops each row's excluded j with a cursor
-// over the ascending exclusions_of(i), writing the kept entries back to
-// the front of the row and their count to kept[i].  The merge reads the
-// sorted data where the sort left it; in place, it never writes ahead of
-// what it reads.  scratch holds the longest row.
-template <int kDigits>
-void sort_rows(const Topology& top, const int64_t* starts, int* list,
-               size_t b, size_t e, int* scratch, int* kept) {
-  ANTON_HOT_NOALLOC();
-  for (size_t i = b; i < e; ++i) {
-    int* const row = list + starts[i];
-    const int len = static_cast<int>(starts[i + 1] - starts[i]);
-    const int* const sorted =
-        radix_sort_row<kDigits>(row, len, static_cast<int>(i), scratch);
-    const auto ex = top.exclusions_of(static_cast<int>(i));
-    auto x = ex.begin();
-    int* out = row;
-    for (const int* p = sorted; p != sorted + len; ++p) {
-      while (x != ex.end() && *x < *p) ++x;
-      if (x == ex.end() || *x != *p) *out++ = *p;
-    }
-    kept[i] = static_cast<int>(out - row);
-  }
+  return bits;
 }
 }  // namespace
 
@@ -86,138 +33,104 @@ NeighborList::NeighborList(double cutoff, double skin)
 
 NeighborList::~NeighborList() = default;
 
-// Counts the pairs whose home cell lies in the pass's layers [z0, z1) into
-// their rows (the lower atom index).
-void NeighborList::count_range(int z0, int z1, int* counts) const {
-  ANTON_HOT_NOALLOC();
-  const PairPass& pass = *pass_;
-  pass.for_each(z0, z1, [&](int s, int) { ++counts[pass.atom(s)]; });
+// Takes the pass's slot order and indexes each slot's excluded partner
+// slots (Topology::exclusions_of holds each pair once, under the lower
+// atom): a count per slot, a prefix, and a fill whose cursors, excl_start_
+// itself, end one row ahead and shift back.  O(atoms + exclusions).
+void NeighborList::index_exclusions(const Topology& top) {
+  const int n = top.num_atoms();
+  row_atoms_.assign(pass_->slot_atoms(), pass_->slot_atoms() + n);
+  slot_of_.resize(static_cast<size_t>(n));
+  for (int s = 0; s < n; ++s) slot_of_[static_cast<size_t>(row_atoms_[s])] = s;
+  excl_start_.assign(static_cast<size_t>(n) + 1, 0);
+  int* start = excl_start_.data();
+  const int* slot = slot_of_.data();
+  for (int i = 0; i < n; ++i) {
+    for (int j : top.exclusions_of(i)) {
+      ++start[slot[i] + 1];
+      ++start[slot[j] + 1];
+    }
+  }
+  for (int s = 0; s < n; ++s) start[s + 1] += start[s];
+  excl_.resize(static_cast<size_t>(start[n]));
+  int* excl = excl_.data();
+  for (int i = 0; i < n; ++i) {
+    for (int j : top.exclusions_of(i)) {
+      excl[start[slot[i]]++] = slot[j];
+      excl[start[slot[j]]++] = slot[i];
+    }
+  }
+  std::copy_backward(start, start + n, start + n + 1);
+  start[0] = 0;
 }
 
-// Walks the same pairs again, in the same order, writing each one's j at
-// its row's cursor.
-void NeighborList::fill_range(int z0, int z1, int* cursors) {
+// Adds the kept hits of each word the pass emits from the slots of layers
+// [z0, z1) to its slot's row count, starts_[s + 1].
+void NeighborList::count_range(int z0, int z1) {
   ANTON_HOT_NOALLOC();
-  const PairPass& pass = *pass_;
-  int* list = list_.data();
-  pass.for_each(z0, z1, [&](int s, int t) {
-    list[cursors[pass.atom(s)]++] = pass.atom(t);
+  const int* excl = excl_.data();
+  const int* excl_start = excl_start_.data();
+  int64_t* counts = starts_.data() + 1;
+  pass_->for_each_word(z0, z1, [&](int s, int t0, uint64_t word) {
+    word &= ~excluded_bits(excl, excl_start[s], excl_start[s + 1], t0);
+    counts[s] += std::popcount(word);
   });
 }
 
-// Counting pass: per-atom totals -> CSR starts_, shard counts -> scatter
-// cursors (disjoint slots per shard), then a race-free fill walk and a
-// per-row radix sort so the layout matches the serial build exactly.  Each
-// sorted row drops its excluded j on the way back into the row, and a last
-// pass closes the gaps between rows.
-void NeighborList::merge_shards(const Topology& top, unsigned nshards,
-                                ThreadPool* pool) {
-  const int n = top.num_atoms();
-  starts_.assign(static_cast<size_t>(n) + 1, 0);
-  int64_t total = 0;
-  int64_t longest = 0;
-  for (int i = 0; i < n; ++i) {
-    int64_t cursor = total;
-    for (unsigned t = 0; t < nshards; ++t) {
-      auto& counts = shards_[t];
-      const int c = counts[static_cast<size_t>(i)];
-      counts[static_cast<size_t>(i)] = static_cast<int>(cursor);
-      cursor += c;
+// Walks the same words again, in the same order, writing each kept hit's
+// atom at its row's cursor, starts_[s], which ends at the row's end.
+void NeighborList::fill_range(int z0, int z1) {
+  ANTON_HOT_NOALLOC();
+  const int* excl = excl_.data();
+  const int* excl_start = excl_start_.data();
+  const int* atoms = pass_->slot_atoms();
+  int64_t* cursors = starts_.data();
+  int* list = list_.data();
+  pass_->for_each_word(z0, z1, [&](int s, int t0, uint64_t word) {
+    word &= ~excluded_bits(excl, excl_start[s], excl_start[s + 1], t0);
+    int64_t c = cursors[s];
+    for (; word != 0; word &= word - 1) {
+      list[c++] = atoms[t0 + std::countr_zero(word)];
     }
-    longest = std::max(longest, cursor - total);
-    total = cursor;
-    starts_[static_cast<size_t>(i) + 1] = total;
-  }
-  // The row sort's scratch, one row per thread as long as the longest row,
-  // sits past the pairs in the list's own storage.  Held in a vector of
-  // its own, the few KB allocated after the list kept the heap from
-  // returning a freed list and raised md_dhfr's peak RSS by 22 MB.
-  const size_t stride = static_cast<size_t>(longest);
-  const unsigned nthreads = pool != nullptr ? pool->size() : 1;
-  list_.resize(static_cast<size_t>(total) + nthreads * stride);
-  int* const scratch = list_.data() + total;
-
-  auto fill = [&](unsigned t) {
-    if (t < nshards) {
-      fill_range(layer_bounds_[t], layer_bounds_[t + 1], shards_[t].data());
-    }
-  };
-  // The fill cursors are spent; shard 0's take each row's kept length.
-  int* kept = shards_[0].data();
-  const int digits = radix_digits(n);
-  auto sort_range = [&](size_t b, size_t e, int* buf) {
-    const int64_t* starts = starts_.data();
-    int* list = list_.data();
-    switch (digits) {
-      case 1: sort_rows<1>(top, starts, list, b, e, buf, kept); break;
-      case 2: sort_rows<2>(top, starts, list, b, e, buf, kept); break;
-      case 3: sort_rows<3>(top, starts, list, b, e, buf, kept); break;
-      default: sort_rows<4>(top, starts, list, b, e, buf, kept); break;
-    }
-  };
-  if (pool != nullptr) {
-    pool->for_each_thread(fill);
-    // The half list front-loads pairs onto low indices, so the rows split
-    // at equal cumulative-pair quantiles of starts_, as the pair kernel's
-    // atoms do.
-    auto row_bound = [&](unsigned t) {
-      if (t == nthreads) return static_cast<size_t>(n);
-      return static_cast<size_t>(
-          std::lower_bound(starts_.begin(), starts_.end(),
-                           total * t / nthreads) -
-          starts_.begin());
-    };
-    pool->for_each_thread([&](unsigned t) {
-      sort_range(row_bound(t), row_bound(t + 1), scratch + t * stride);
-    });
-  } else {
-    for (unsigned t = 0; t < nshards; ++t) fill(t);
-    sort_range(0, static_cast<size_t>(n), scratch);
-  }
-
-  // Rows only move down, so each copy reads ahead of what it writes.
-  int64_t end = 0;
-  for (int i = 0; i < n; ++i) {
-    const auto row = list_.begin() + starts_[static_cast<size_t>(i)];
-    if (row != list_.begin() + end) {
-      std::copy(row, row + kept[i], list_.begin() + end);
-    }
-    starts_[static_cast<size_t>(i)] = end;
-    end += kept[i];
-  }
-  starts_[static_cast<size_t>(n)] = end;
-  list_.resize(static_cast<size_t>(end));
+    cursors[s] = c;
+  });
 }
 
 void NeighborList::build(const Box& box, std::span<const Vec3> positions,
                          const Topology& top, ThreadPool* pool) {
   const int n = static_cast<int>(positions.size());
   ANTON_CHECK(n == top.num_atoms());
+  if (positions.size() < kSerialThreshold) pool = nullptr;
   if (pass_ == nullptr) {
-    pass_ = std::make_unique<PairPass>(box, positions, list_radius());
+    pass_ = std::make_unique<PairPass>(box, positions, list_radius(), pool);
   } else {
-    pass_->rebin(box, positions);
+    pass_->rebin(box, positions, pool);
   }
+  index_exclusions(top);
+  seen_.resize(static_cast<size_t>(n));
 
-  const bool threaded =
-      pool != nullptr && positions.size() >= kSerialThreshold;
-  pass_->split(threaded ? static_cast<int>(pool->size()) : 1, layer_bounds_);
+  pass_->split(pool != nullptr ? static_cast<int>(pool->size()) : 1,
+               layer_bounds_);
   const unsigned nshards = static_cast<unsigned>(layer_bounds_.size()) - 1;
-  if (shards_.size() < nshards) shards_.resize(nshards);
-  for (unsigned t = 0; t < nshards; ++t) {
-    shards_[t].assign(static_cast<size_t>(n), 0);
-  }
-  auto count = [&](unsigned t) {
-    if (t < nshards) {
-      count_range(layer_bounds_[t], layer_bounds_[t + 1], shards_[t].data());
+  auto run = [&](auto&& walk) {
+    auto shard = [&](unsigned t) {
+      if (t < nshards) walk(layer_bounds_[t], layer_bounds_[t + 1]);
+    };
+    if (nshards > 1) {
+      pool->for_each_thread(shard);
+    } else {
+      shard(0);
     }
   };
-  if (nshards > 1) {
-    pool->for_each_thread(count);
-  } else {
-    count(0);
-  }
-  merge_shards(top, nshards, nshards > 1 ? pool : nullptr);
+  starts_.assign(static_cast<size_t>(n) + 1, 0);
+  run([&](int z0, int z1) { count_range(z0, z1); });
+  int64_t* starts = starts_.data();
+  for (int s = 0; s < n; ++s) starts[s + 1] += starts[s];
+  list_.resize(static_cast<size_t>(starts[n]));
+  run([&](int z0, int z1) { fill_range(z0, z1); });
+  // Each cursor ended at its row's end, which is the next row's start.
+  std::copy_backward(starts, starts + n, starts + n + 1);
+  starts[0] = 0;
 
   ref_positions_.assign(positions.begin(), positions.end());
 
@@ -233,17 +146,34 @@ void NeighborList::validate() const {
                   "CSR starts must span the pair list exactly: starts["
                       << n << "]=" << starts_[static_cast<size_t>(n)]
                       << " list size " << list_.size());
-  for (int i = 0; i < n; ++i) {
-    const int64_t b = starts_[static_cast<size_t>(i)];
-    const int64_t e = starts_[static_cast<size_t>(i) + 1];
-    ANTON_CHECK_MSG(b <= e, "CSR starts not monotone at atom " << i);
-    int prev = i;  // rows hold j > i, strictly ascending
+  ANTON_CHECK_MSG(row_atoms_.size() == static_cast<size_t>(n) &&
+                      slot_of_.size() == static_cast<size_t>(n) &&
+                      seen_.size() == static_cast<size_t>(n),
+                  "row atoms do not cover the " << n << " rows");
+  // Every row atom lies in range and maps back to its row, so no two rows
+  // share an atom: row_atom is a permutation.
+  for (int r = 0; r < n; ++r) {
+    const int i = row_atoms_[static_cast<size_t>(r)];
+    ANTON_CHECK_MSG(i >= 0 && i < n && slot_of_[static_cast<size_t>(i)] == r,
+                    "row " << r << "'s atom " << i
+                           << " is not a permutation entry (n=" << n << ")");
+  }
+  std::fill(seen_.begin(), seen_.end(), -1);
+  for (int r = 0; r < n; ++r) {
+    const int64_t b = starts_[static_cast<size_t>(r)];
+    const int64_t e = starts_[static_cast<size_t>(r) + 1];
+    ANTON_CHECK_MSG(b <= e, "CSR starts not monotone at row " << r);
+    const int i = row_atoms_[static_cast<size_t>(r)];
     for (int64_t k = b; k < e; ++k) {
       const int j = list_[static_cast<size_t>(k)];
-      ANTON_CHECK_MSG(j > prev && j < n,
-                      "CSR row " << i << " malformed: neighbour " << j
-                                 << " after " << prev << " (n=" << n << ")");
-      prev = j;
+      ANTON_CHECK_MSG(j >= 0 && j < n && j != i,
+                      "CSR row " << r << " (atom " << i
+                                 << ") malformed: neighbour " << j
+                                 << " (n=" << n << ")");
+      ANTON_CHECK_MSG(seen_[static_cast<size_t>(j)] != r,
+                      "CSR row " << r << " (atom " << i
+                                 << ") holds neighbour " << j << " twice");
+      seen_[static_cast<size_t>(j)] = r;
     }
   }
 }

@@ -194,11 +194,12 @@ struct FixedBatchAcc {
   void finish() {}
 };
 
-// Vectorized tabulated pair kernel over the i-range [begin, end): each
-// i-row's neighbors are processed in W-lane SoA chunks (dx/dy/dz/q/type
-// gathered by index from the workspace's staged position lanes), with the
-// division-free minimum image, the premixed-LJ evaluation and the fused
-// cubic-Hermite erfc lookup all running per lane through the simd wrapper.
+// Vectorized tabulated pair kernel over the list rows [begin, end): each
+// row's atom i = row_atom(r) and its neighbors are processed in W-lane SoA
+// chunks (dx/dy/dz/q/type gathered by index from the workspace's staged
+// position lanes), with the division-free minimum image, the premixed-LJ
+// evaluation and the fused cubic-Hermite erfc lookup all running per lane
+// through the simd wrapper.
 // Ragged row tails are masked: inactive lanes duplicate a valid neighbor
 // index (so gathers stay in-range) and have every contribution blended to
 // exact 0.0.  Lanes under the table floor (r² < table_r2_min) are rare bad
@@ -266,7 +267,8 @@ void pair_kernel_simd(const Box& box, const ForceWorkspace& ws,
   alignas(16) int sj[kSeg];    // padded neighbor indices
   alignas(16) int snode[kSeg];  // clamped table record offsets
 
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t r = begin; r < end; ++r) {
+    const auto i = static_cast<size_t>(nlist.row_atom(static_cast<int>(r)));
     const double* irec = pxyzq + 4 * i;
     const VecD pix = VecD::broadcast(irec[0]);
     const VecD piy = VecD::broadcast(irec[1]);
@@ -278,7 +280,7 @@ void pair_kernel_simd(const Box& box, const ForceWorkspace& ws,
     // the type gather and the sr6 chain changes no bits.
     const bool lj_row_zero = ws.lj_row_zero(types[i]);
     acc.begin_atom(i);
-    const auto nb = nlist.neighbors_of(static_cast<int>(i));
+    const auto nb = nlist.row(static_cast<int>(r));
     const int* jp = nb.data();
     const size_t nn = nb.size();
     for (size_t seg = 0; seg < nn; seg += static_cast<size_t>(kSeg)) {
@@ -430,10 +432,10 @@ void pair_kernel_simd(const Box& box, const ForceWorkspace& ws,
   acc.finish();
 }
 
-// Inner kernel over the i-range [begin, end); contributions flow through the
-// accumulator policy.  All per-pair parameters come from the workspace
-// caches (premixed LJ table, prescaled charges), so the loop reads flat SoA
-// arrays only.
+// Inner kernel over the list rows [begin, end), each row's atom i read as
+// row_atom(r); contributions flow through the accumulator policy.  All
+// per-pair parameters come from the workspace caches (premixed LJ table,
+// prescaled charges), so the loop reads flat SoA arrays only.
 template <class Acc>
 void pair_kernel(const Box& box, const ForceWorkspace& ws,
                  const NeighborList& nlist, std::span<const Vec3> pos,
@@ -451,12 +453,13 @@ void pair_kernel(const Box& box, const ForceWorkspace& ws,
   const Vec3 box_l = box.lengths();
   const Vec3 inv_l{1.0 / box_l.x, 1.0 / box_l.y, 1.0 / box_l.z};
 
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t r = begin; r < end; ++r) {
+    const auto i = static_cast<size_t>(nlist.row_atom(static_cast<int>(r)));
     const Vec3 pi = pos[i];
     const double qi = q_scaled[i];
     const LjMixed* lj_row = lj_table + types[i] * ntypes;
     acc.begin_atom(i);
-    for (int j : nlist.neighbors_of(static_cast<int>(i))) {
+    for (int j : nlist.row(static_cast<int>(r))) {
       Vec3 d = pi - pos[static_cast<size_t>(j)];
       d.x -= box_l.x * std::nearbyint(d.x * inv_l.x);
       d.y -= box_l.y * std::nearbyint(d.y * inv_l.y);
@@ -590,6 +593,28 @@ PairEnergyPartialFixed reduce_thread_forces_fixed(ThreadPool* pool,
   return e;
 }
 
+// Pair-balanced chunking: the list's rows, in the pair pass's slot order,
+// hold uneven pair counts (a row grows with its cell's density and shrinks
+// with its place in its cell), so equal row ranges would leave threads
+// idle.  Splits the rows at equal cumulative-pair quantiles of starts()
+// instead: thread t takes rows [bounds[t], bounds[t + 1]).  `bounds` holds
+// T + 1 entries.
+void split_rows(const NeighborList& nlist, unsigned T,
+                std::vector<size_t>& bounds) {
+  const auto starts = nlist.starts();
+  const auto rows = static_cast<size_t>(nlist.num_atoms());
+  const int64_t total = nlist.num_pairs();
+  bounds[0] = 0;
+  for (unsigned t = 1; t < T; ++t) {
+    const int64_t target = total * static_cast<int64_t>(t) / T;
+    const size_t b = static_cast<size_t>(
+        std::lower_bound(starts.begin(), starts.end(), target) -
+        starts.begin());
+    bounds[t] = std::clamp(b, bounds[t - 1], rows);
+  }
+  bounds[T] = rows;
+}
+
 // Raised after a fixed-point reduction that lost a value: the result would
 // be silently clamped or wrapped, so no part of it is returned.
 void check_fixed_range(const PairEnergyPartialFixed& e, const char* what) {
@@ -650,19 +675,8 @@ void compute_nonbonded(const Box& box, const Topology& top,
       run_fixed(0, n, 0);
       if (thread_stat != nullptr) thread_stat->add(obs::wall_seconds() - w0);
     } else {
-      // Pair-balanced chunking (see the double path below for rationale).
       auto& bounds = ws->chunk_bounds();
-      const auto starts = nlist.starts();
-      const int64_t total = nlist.num_pairs();
-      bounds[0] = 0;
-      for (unsigned t = 1; t < T; ++t) {
-        const int64_t target = total * static_cast<int64_t>(t) / T;
-        const size_t b = static_cast<size_t>(
-            std::lower_bound(starts.begin(), starts.end(), target) -
-            starts.begin());
-        bounds[t] = std::clamp(b, bounds[t - 1], n);
-      }
-      bounds[T] = n;
+      split_rows(nlist, T, bounds);
       pool->for_each_thread([&](unsigned t) {
         const double w0 =
             thread_stat != nullptr ? obs::wall_seconds() : 0.0;
@@ -711,21 +725,8 @@ void compute_nonbonded(const Box& box, const Topology& top,
   const unsigned T = pool->size();
   ws->ensure_threads(T, n);
 
-  // Pair-balanced chunking: the half-list CSR front-loads neighbours onto
-  // low atom indices, so equal atom ranges starve the high threads.  Split
-  // atoms at equal cumulative-pair quantiles of starts_ instead.
   auto& bounds = ws->chunk_bounds();
-  const auto starts = nlist.starts();
-  const int64_t total = nlist.num_pairs();
-  bounds[0] = 0;
-  for (unsigned t = 1; t < T; ++t) {
-    const int64_t target = total * static_cast<int64_t>(t) / T;
-    const size_t b = static_cast<size_t>(
-        std::lower_bound(starts.begin(), starts.end(), target) -
-        starts.begin());
-    bounds[t] = std::clamp(b, bounds[t - 1], n);
-  }
-  bounds[T] = n;
+  split_rows(nlist, T, bounds);
 
   pool->for_each_thread([&](unsigned t) {
     const double w0 = thread_stat != nullptr ? obs::wall_seconds() : 0.0;

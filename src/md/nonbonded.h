@@ -19,9 +19,9 @@ namespace anton::md {
 
 // Accumulates LJ + real-space Coulomb forces/energies over the list.
 // If `pool` is non-null the pair loop is parallelised with per-thread force
-// buffers (deterministic for a fixed thread count); work is split at equal
-// cumulative-pair quantiles of the half-list CSR, and the cross-thread
-// reduction runs in parallel.
+// buffers (deterministic for a fixed thread count); the list's rows are
+// split at equal cumulative-pair quantiles, and the cross-thread reduction
+// runs in parallel.
 //
 // Electrostatics mode:
 //   - alpha > 0: erfc(alpha r)/r screened Coulomb (Ewald real-space part)

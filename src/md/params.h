@@ -55,8 +55,9 @@ struct MdParams {
   // gather and the direct-Ewald sum are data-parallel pure functions and
   // bitwise stable without quantization.  Costs a quantization of ~2^-32
   // per contribution and roughly doubles the step: a DHFR step on 4
-  // threads of a 4-vCPU x86 VM took 111-117 ms against 57.6-58.7 ms on the
-  // double path, its pair phase 3.2x slower.
+  // threads of a 4-vCPU x86 VM took 88.6-90.1 ms against 41.6-43.8 ms on
+  // the double path (3 runs of 20 steps each, prepared as perfbench's
+  // md_dhfr), its pair phase 3.2x slower.
   bool deterministic_forces = false;
 
   // Ewald splitting.

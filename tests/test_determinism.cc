@@ -21,6 +21,7 @@
 #include "md/minimize.h"
 #include "md/neighborlist.h"
 #include "md/nonbonded.h"
+#include "test_support.h"
 
 namespace anton::md {
 namespace {
@@ -107,6 +108,57 @@ TEST(Determinism, TabulatedBitwiseIdenticalForcesAcross1_2_4_8Threads) {
     ForceWorkspace ws;
     const ShortRange par = eval_tabulated(&pool, &ws);
     expect_bitwise_equal(serial, par);
+  }
+}
+
+// An oracle across the neighbour list's layout: the short-range forces and
+// energies of DHFR (9 + 1 Å, the cell walk, whose chains have 1-2 and 1-3
+// exclusions across cells) under deterministic_forces, on both pair
+// kernels, serially and on 4 threads, against digests taken when the list
+// stored each pair under its lower atom with every row ascending.  Each
+// pair's fixed-point contribution does not depend on which atom owns it
+// (the charge products of the built-in systems are exact either way), and
+// fixed-point sums do not depend on order, so any layout of the same pairs
+// gives these bits.
+TEST(Determinism, DhfrShortRangeMatchesLowerIndexLayoutDigest) {
+  System sys = build_benchmark_system(dhfr_spec(), 2014);
+  MdParams p;
+  {
+    // In double: the builder leaves clashes whose terms exceed the 32.32
+    // range; 30 steps bring the largest force to ~4e5 kcal/mol/Å.
+    ThreadPool pool(4);
+    minimize_energy(sys, p, 30, 0.1, 10.0, &pool);
+  }
+  // The double path's sums follow the list's layout, so snap the minimised
+  // positions to a 2^-10 Å grid, far coarser than that rounding.
+  for (Vec3& x : sys.positions()) {
+    x = Vec3{std::round(x.x * 1024) / 1024, std::round(x.y * 1024) / 1024,
+             std::round(x.z * 1024) / 1024};
+  }
+  p.deterministic_forces = true;
+  const size_t n = static_cast<size_t>(sys.num_atoms());
+  for (const bool tabulate : {true, false}) {
+    p.tabulate_erfc = tabulate;
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "tabulate_erfc " << tabulate
+                                        << ", " << threads << " threads");
+      ThreadPool pool(threads);
+      ForceCompute force(sys.topology_ptr(), sys.box(), p, &pool);
+      std::vector<Vec3> f(n);
+      const EnergyReport e = force.compute_short(sys.positions(), f);
+      test_support::Digest d;
+      for (const Vec3& v : f) {
+        d.add_bits(v.x);
+        d.add_bits(v.y);
+        d.add_bits(v.z);
+      }
+      for (double v : {e.lj, e.coulomb_real, e.coulomb_excl, e.virial}) {
+        d.add_bits(v);
+      }
+      EXPECT_EQ(d.value(),
+                tabulate ? 0xB0DF1356669555D9ULL : 0x3ABA5656515AEFE0ULL)
+          << "0x" << std::hex << d.value();
+    }
   }
 }
 

@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chem/builder.h"
@@ -54,70 +55,122 @@ System unwrapped_copy(const System& sys) {
   return out;
 }
 
+// Every stored pair as (lower atom, higher atom), sorted.
+std::vector<std::pair<int, int>> sorted_pairs(const NeighborList& nlist) {
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(static_cast<size_t>(nlist.num_pairs()));
+  for (int r = 0; r < nlist.num_atoms(); ++r) {
+    const int i = nlist.row_atom(r);
+    for (int j : nlist.row(r)) {
+      pairs.emplace_back(std::min(i, j), std::max(i, j));
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
 TEST(NeighborList, MatchesBruteForce) {
-  // The cell walk on wrapped and on unwrapped positions, and a list radius
+  // The cell walk on wrapped and on unwrapped positions, a list radius
   // (10 Å in a 21.7 Å box) that leaves under 3 cells per axis: the
-  // all-pairs fallback.
-  const System sys = build_water_box(343, 17, -1);
-  const System unwrapped = unwrapped_copy(sys);
-  const Topology& top = sys.topology();
+  // all-pairs fallback, and DHFR, whose chains have 1-2 and 1-3 exclusions
+  // across cells (a water's lie in one molecule).
+  const System water = build_water_box(343, 17, -1);
+  const System unwrapped = unwrapped_copy(water);
+  const System dhfr = build_benchmark_system(dhfr_spec(), 2014);
   struct Row {
     const char* name;
     const System* sys;
     double cutoff;
   };
-  for (const Row& row : {Row{"cell walk", &sys, 6.0},
+  for (const Row& row : {Row{"cell walk", &water, 6.0},
                          Row{"unwrapped", &unwrapped, 6.0},
-                         Row{"fallback", &sys, 9.0}}) {
+                         Row{"fallback", &water, 9.0},
+                         Row{"dhfr", &dhfr, 6.0}}) {
     SCOPED_TRACE(row.name);
+    const System& sys = *row.sys;
+    const Topology& top = sys.topology();
     NeighborList nlist(row.cutoff, 1.0);
-    nlist.build(row.sys->box(), row.sys->positions(), top);
+    nlist.build(sys.box(), sys.positions(), top);
 
     // Brute force reference.
-    std::set<std::pair<int, int>> ref;
-    const auto pos = row.sys->positions();
+    std::vector<std::pair<int, int>> ref;
+    const auto pos = sys.positions();
     const double rl2 = nlist.list_radius() * nlist.list_radius();
     for (int i = 0; i < sys.num_atoms(); ++i) {
       for (int j = i + 1; j < sys.num_atoms(); ++j) {
-        if (top.excluded(i, j)) continue;
         if (norm2(sys.box().min_image(pos[static_cast<size_t>(i)],
-                                      pos[static_cast<size_t>(j)])) < rl2) {
-          ref.insert({i, j});
+                                      pos[static_cast<size_t>(j)])) < rl2 &&
+            !top.excluded(i, j)) {
+          ref.emplace_back(i, j);
         }
       }
     }
 
-    std::set<std::pair<int, int>> got;
-    for (int i = 0; i < sys.num_atoms(); ++i) {
-      for (int j : nlist.neighbors_of(i)) {
-        EXPECT_GT(j, i);
-        EXPECT_TRUE(got.insert({i, j}).second) << "duplicate pair";
-      }
+    for (int r = 0; r < nlist.num_atoms(); ++r) {
+      for (int j : nlist.row(r)) ASSERT_NE(j, nlist.row_atom(r));
     }
+    const auto got = sorted_pairs(nlist);
+    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+        << "duplicate pair";
     EXPECT_EQ(got, ref);
   }
 }
 
-// starts() and then every row, in order.
+// The list's pairs in the lower-index layout that the list stored before
+// it kept the walk order (rows by lower atom, each row ascending): those
+// starts, then every row, in order.  An unchanged digest means the same
+// pairs.
 uint64_t csr_digest(const NeighborList& nlist) {
+  const int n = nlist.num_atoms();
+  std::vector<int64_t> starts(static_cast<size_t>(n) + 1, 0);
+  for (int r = 0; r < n; ++r) {
+    const int i = nlist.row_atom(r);
+    for (int j : nlist.row(r)) {
+      ++starts[static_cast<size_t>(std::min(i, j)) + 1];
+    }
+  }
+  for (int i = 0; i < n; ++i) starts[i + 1] += starts[i];
+  std::vector<int64_t> cursor(starts.begin(), starts.end() - 1);
+  std::vector<int> rows(static_cast<size_t>(nlist.num_pairs()));
+  for (int r = 0; r < n; ++r) {
+    const int i = nlist.row_atom(r);
+    for (int j : nlist.row(r)) {
+      rows[static_cast<size_t>(cursor[static_cast<size_t>(std::min(i, j))]++)] =
+          std::max(i, j);
+    }
+  }
+  Digest d;
+  for (int64_t s : starts) d.add(static_cast<uint64_t>(s));
+  for (int i = 0; i < n; ++i) {
+    const auto b = rows.begin() + starts[i];
+    const auto e = rows.begin() + starts[i + 1];
+    std::sort(b, e);
+    for (auto it = b; it != e; ++it) d.add(static_cast<uint64_t>(*it));
+  }
+  return d.value();
+}
+
+// The list as stored: starts(), every row_atom(r), then every row.
+uint64_t layout_digest(const NeighborList& nlist) {
   Digest d;
   for (int64_t s : nlist.starts()) d.add(static_cast<uint64_t>(s));
-  for (int i = 0; i < nlist.num_atoms(); ++i) {
-    for (int j : nlist.neighbors_of(i)) d.add(static_cast<uint64_t>(j));
+  for (int r = 0; r < nlist.num_atoms(); ++r) {
+    d.add(static_cast<uint64_t>(nlist.row_atom(r)));
+  }
+  for (int r = 0; r < nlist.num_atoms(); ++r) {
+    for (int j : nlist.row(r)) d.add(static_cast<uint64_t>(j));
   }
   return d.value();
 }
 
 TEST(NeighborList, GoldenCsrDigest) {
-  // Pins the CSR bit for bit, serially and at every pool size, on the cell
-  // walk and on the all-pairs fallback (a 10 Å list radius in the 28 Å
-  // water box leaves 2 cells per axis), with DHFR wrapped and unwrapped.
-  // The row sort takes one 8-bit digit up to 256 atoms, two up to 65,536
-  // and three beyond: the 192-atom box (the fallback again) and the
-  // 66,000-atom box pin the one- and three-digit sorts.  The first five
-  // constants come from the build that walked the cells itself, before
-  // the list moved onto the pair pass; the last two from the build that
-  // sorted each row with std::sort.
+  // Pins the pair set, in its lower-index canonical form, on the cell walk
+  // and on the all-pairs fallback (a 10 Å list radius in the 28 Å water
+  // box leaves 2 cells per axis), with DHFR wrapped and unwrapped, at 192
+  // and 66,000 atoms too; and the stored layout itself serially and at
+  // every pool size.  The first five constants come from the build that
+  // walked the cells itself, before the list moved onto the pair pass; the
+  // last two from the build that sorted each row with std::sort.
   const System water = build_water_box(729, 71, -1);
   const System dhfr = build_benchmark_system(dhfr_spec(), 2014);
   const System dhfr_unwrapped = unwrapped_copy(dhfr);
@@ -141,15 +194,22 @@ TEST(NeighborList, GoldenCsrDigest) {
       {"water 66000 6.5/0.7", &water66k, 6.5, 0.7, 0x23E522D190BCC14FULL},
   };
   for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    uint64_t serial_layout = 0;
     for (unsigned threads : {0u, 2u, 3u, 4u, 7u}) {
       std::unique_ptr<ThreadPool> pool;
       if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
       NeighborList nlist(row.cutoff, row.skin);
       nlist.build(row.sys->box(), row.sys->positions(),
                   row.sys->topology(), pool.get());
-      EXPECT_EQ(csr_digest(nlist), row.golden)
-          << row.name << ", " << threads << " threads: 0x" << std::hex
-          << csr_digest(nlist);
+      if (threads == 0) {
+        EXPECT_EQ(csr_digest(nlist), row.golden)
+            << "0x" << std::hex << csr_digest(nlist);
+        serial_layout = layout_digest(nlist);
+      } else {
+        EXPECT_EQ(layout_digest(nlist), serial_layout)
+            << threads << " threads";
+      }
     }
   }
 }
@@ -168,7 +228,7 @@ TEST(NeighborList, RebuildInNewBoxMatchesFreshList) {
     reused.build(box, pos, sys.topology());
     NeighborList fresh(6.0, 1.0);
     fresh.build(box, pos, sys.topology());
-    EXPECT_EQ(csr_digest(reused), csr_digest(fresh));
+    EXPECT_EQ(layout_digest(reused), layout_digest(fresh));
   }
 }
 
@@ -241,13 +301,15 @@ TEST(NeighborList, DegenerateInputRejected) {
 }
 
 TEST(NeighborList, ExcludesTopologicalPairs) {
+  // A water's O-H pairs lie within the list radius; each may be reached
+  // from either atom's slot, so every row is checked.
   const System sys = build_water_box(125, 18, -1);
   NeighborList nlist(6.0, 0.5);
   nlist.build(sys.box(), sys.positions(), sys.topology());
-  for (const auto& w : sys.topology().waters()) {
-    for (int j : nlist.neighbors_of(w.o)) {
-      EXPECT_NE(j, w.h1);
-      EXPECT_NE(j, w.h2);
+  for (int r = 0; r < nlist.num_atoms(); ++r) {
+    const int i = nlist.row_atom(r);
+    for (int j : nlist.row(r)) {
+      EXPECT_FALSE(sys.topology().excluded(i, j)) << i << "-" << j;
     }
   }
 }

@@ -136,10 +136,11 @@ TEST(Threaded, ParallelNlistBuildMatchesSerialCsrExactly) {
     const auto s1 = par.starts();
     ASSERT_EQ(s0.size(), s1.size());
     for (size_t i = 0; i < s0.size(); ++i) EXPECT_EQ(s0[i], s1[i]);
-    for (int i = 0; i < serial.num_atoms(); ++i) {
-      const auto n0 = serial.neighbors_of(i);
-      const auto n1 = par.neighbors_of(i);
-      ASSERT_EQ(n0.size(), n1.size()) << "atom " << i;
+    for (int r = 0; r < serial.num_atoms(); ++r) {
+      ASSERT_EQ(serial.row_atom(r), par.row_atom(r)) << "row " << r;
+      const auto n0 = serial.row(r);
+      const auto n1 = par.row(r);
+      ASSERT_EQ(n0.size(), n1.size()) << "row " << r;
       for (size_t k = 0; k < n0.size(); ++k) EXPECT_EQ(n0[k], n1[k]);
     }
   }
